@@ -127,6 +127,20 @@ class BinaryReader {
     return Status::OK();
   }
 
+  /// Reads an entry count and rejects it unless the remaining bytes can
+  /// hold that many entries of at least `min_entry_bytes` each, so a
+  /// corrupted count fails here instead of in a huge reserve() or resize().
+  Status ReadCount(size_t min_entry_bytes, uint64_t* out) {
+    ALEX_RETURN_NOT_OK(ReadU64(out));
+    if (*out > remaining() / min_entry_bytes) {
+      return Status::ParseError(
+          "corrupt count: " + std::to_string(*out) + " entries of at least " +
+          std::to_string(min_entry_bytes) + " bytes at offset " +
+          std::to_string(pos_ - 8) + ", have " + std::to_string(remaining()));
+    }
+    return Status::OK();
+  }
+
   /// Reads `n` raw bytes (no length prefix).
   Status ReadRaw(size_t n, std::string_view* out) {
     ALEX_RETURN_NOT_OK(Require(n));

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -75,7 +77,25 @@ AlexEngine::AlexEngine(const LinkSpace* space, const AlexConfig& config,
 
 void AlexEngine::InitializeCandidates(
     const std::vector<PairKey>& initial_links) {
-  candidates_.insert(initial_links.begin(), initial_links.end());
+  candidates_.insert(candidates_.end(), initial_links.begin(),
+                     initial_links.end());
+  std::sort(candidates_.begin(), candidates_.end());
+  candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
+                    candidates_.end());
+}
+
+bool AlexEngine::AddCandidate(PairKey pair) {
+  auto it = std::lower_bound(candidates_.begin(), candidates_.end(), pair);
+  if (it != candidates_.end() && *it == pair) return false;
+  candidates_.insert(it, pair);
+  return true;
+}
+
+bool AlexEngine::RemoveCandidate(PairKey pair) {
+  auto it = std::lower_bound(candidates_.begin(), candidates_.end(), pair);
+  if (it == candidates_.end() || *it != pair) return false;
+  candidates_.erase(it);
+  return true;
 }
 
 void AlexEngine::ProcessFeedback(const feedback::FeedbackItem& item) {
@@ -107,7 +127,7 @@ void AlexEngine::ProcessFeedback(const feedback::FeedbackItem& item) {
     // An approval is direct evidence the link is correct: (re-)admit it
     // even if an earlier (possibly erroneous) rejection removed or
     // blacklisted it.
-    candidates_.insert(state);
+    AddCandidate(state);
     blacklist_.erase(state);
     episode_states_.push_back(state);
     const FeatureSet* actions = space_->FeaturesOf(state);
@@ -122,7 +142,7 @@ void AlexEngine::ProcessFeedback(const feedback::FeedbackItem& item) {
   // Negative feedback: remove the wrong link (Algorithm 1 line 20) and
   // blacklist it so no future exploration re-proposes it (Section 6.3).
   ++episode_stats_.negative_items;
-  if (candidates_.erase(state) > 0) {
+  if (RemoveCandidate(state)) {
     ++episode_stats_.links_removed;
     EngineMetrics::Get().links_removed.Add(1);
   }
@@ -178,7 +198,7 @@ void AlexEngine::Explore(PairKey state, FeatureKey action) {
       ++blacklist_hits;
       return true;
     }
-    return candidates_.count(link) > 0;
+    return IsCandidate(link);
   });
   if (blacklist_hits > 0) metrics.blacklist_hits.Add(blacklist_hits);
 
@@ -211,7 +231,7 @@ void AlexEngine::Explore(PairKey state, FeatureKey action) {
   const StateAction generator{state, action};
   size_t added = 0;
   for (PairKey link : found) {
-    if (!candidates_.insert(link).second) continue;
+    if (!AddCandidate(link)) continue;
     ++episode_stats_.links_added;
     ++added;
     ever_explored_.insert(link);
@@ -232,7 +252,7 @@ void AlexEngine::Rollback(const StateAction& generator) {
     // blacklisted — another state-action pair with a better average return
     // may legitimately rediscover them (Section 6.3).
     if (positively_marked_.count(link) > 0) continue;
-    if (candidates_.erase(link) > 0) {
+    if (RemoveCandidate(link)) {
       ++episode_stats_.links_removed;
       EngineMetrics::Get().links_removed.Add(1);
     }
@@ -268,25 +288,46 @@ EngineEpisodeStats AlexEngine::EndEpisode() {
 
 namespace {
 
-/// Canonical (sorted) serialization of a PairKey set: equal sets produce
-/// equal bytes whatever their hash tables' insertion histories were.
-void WriteKeySet(BinaryWriter* w, const std::unordered_set<PairKey>& set) {
-  std::vector<PairKey> keys(set.begin(), set.end());
-  std::sort(keys.begin(), keys.end());
+/// Encoded sizes of a PairKey and a StateAction, the smallest entries of
+/// the sections below; counts are checked against them before allocating.
+constexpr size_t kKeyBytes = 8;
+constexpr size_t kStateActionBytes = 16;
+
+/// Canonical serialization of a PairKey set: a count, then the keys in
+/// ascending order, so equal sets produce equal bytes.
+void WriteSortedKeys(BinaryWriter* w, const std::vector<PairKey>& keys) {
   w->WriteU64(keys.size());
   for (PairKey key : keys) w->WriteU64(key);
 }
 
-Status ReadKeySet(BinaryReader* r, std::unordered_set<PairKey>* out) {
+void WriteKeySet(BinaryWriter* w, const std::unordered_set<PairKey>& set) {
+  std::vector<PairKey> keys(set.begin(), set.end());
+  std::sort(keys.begin(), keys.end());
+  WriteSortedKeys(w, keys);
+}
+
+/// Reads a key set written by WriteSortedKeys. Keys must be strictly
+/// ascending: anything else is not a canonical snapshot.
+Status ReadSortedKeys(BinaryReader* r, std::string_view section,
+                      std::vector<PairKey>* out) {
   uint64_t n = 0;
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
-  out->clear();
-  out->reserve(n);
+  ALEX_RETURN_NOT_OK(r->ReadCount(kKeyBytes, &n));
+  out->resize(n);
   for (uint64_t i = 0; i < n; ++i) {
-    PairKey key = 0;
-    ALEX_RETURN_NOT_OK(r->ReadU64(&key));
-    out->insert(key);
+    ALEX_RETURN_NOT_OK(r->ReadU64(&(*out)[i]));
+    if (i > 0 && (*out)[i] <= (*out)[i - 1]) {
+      return Status::ParseError("checkpoint: " + std::string(section) +
+                                " keys are not strictly ascending");
+    }
   }
+  return Status::OK();
+}
+
+Status ReadKeySet(BinaryReader* r, std::string_view section,
+                  std::unordered_set<PairKey>* out) {
+  std::vector<PairKey> keys;
+  ALEX_RETURN_NOT_OK(ReadSortedKeys(r, section, &keys));
+  *out = std::unordered_set<PairKey>(keys.begin(), keys.end());
   return Status::OK();
 }
 
@@ -319,7 +360,7 @@ void AlexEngine::SaveState(BinaryWriter* w) const {
   for (uint64_t word : rng_.SaveState()) w->WriteU64(word);
   w->WriteU64(episodes_completed_);
 
-  WriteKeySet(w, candidates_);
+  WriteSortedKeys(w, candidates_);
   WriteKeySet(w, blacklist_);
   WriteKeySet(w, ever_explored_);
   WriteKeySet(w, positively_marked_);
@@ -441,23 +482,24 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
   uint64_t episodes_completed = 0;
   ALEX_RETURN_NOT_OK(r->ReadU64(&episodes_completed));
 
-  std::unordered_set<PairKey> candidates, blacklist, ever_explored,
-      positively_marked, visited;
-  ALEX_RETURN_NOT_OK(ReadKeySet(r, &candidates));
-  ALEX_RETURN_NOT_OK(ReadKeySet(r, &blacklist));
-  ALEX_RETURN_NOT_OK(ReadKeySet(r, &ever_explored));
-  ALEX_RETURN_NOT_OK(ReadKeySet(r, &positively_marked));
-  ALEX_RETURN_NOT_OK(ReadKeySet(r, &visited));
+  std::vector<PairKey> candidates;
+  ALEX_RETURN_NOT_OK(ReadSortedKeys(r, "candidate", &candidates));
+  std::unordered_set<PairKey> blacklist, ever_explored, positively_marked,
+      visited;
+  ALEX_RETURN_NOT_OK(ReadKeySet(r, "blacklist", &blacklist));
+  ALEX_RETURN_NOT_OK(ReadKeySet(r, "explored-link", &ever_explored));
+  ALEX_RETURN_NOT_OK(ReadKeySet(r, "positive-link", &positively_marked));
+  ALEX_RETURN_NOT_OK(ReadKeySet(r, "visited-state", &visited));
 
   uint64_t n = 0;
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(kKeyBytes + 8, &n));  // Key, length.
   std::unordered_map<PairKey, std::vector<StateAction>> generators;
   generators.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     PairKey key = 0;
     ALEX_RETURN_NOT_OK(r->ReadU64(&key));
     uint64_t len = 0;
-    ALEX_RETURN_NOT_OK(r->ReadU64(&len));
+    ALEX_RETURN_NOT_OK(r->ReadCount(kStateActionBytes, &len));
     std::vector<StateAction>& gens = generators[key];
     gens.resize(len);
     for (uint64_t j = 0; j < len; ++j) {
@@ -465,7 +507,7 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
     }
   }
 
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(kStateActionBytes + 8, &n));
   std::unordered_map<StateAction, std::vector<PairKey>, StateActionHash>
       generated_links;
   generated_links.reserve(n);
@@ -473,7 +515,7 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
     StateAction sa;
     ALEX_RETURN_NOT_OK(ReadStateAction(r, &sa));
     uint64_t len = 0;
-    ALEX_RETURN_NOT_OK(r->ReadU64(&len));
+    ALEX_RETURN_NOT_OK(r->ReadCount(kKeyBytes, &len));
     std::vector<PairKey>& links = generated_links[sa];
     links.resize(len);
     for (uint64_t j = 0; j < len; ++j) {
@@ -481,7 +523,7 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
     }
   }
 
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(kStateActionBytes + 8, &n));
   std::unordered_map<StateAction, size_t, StateActionHash> negative_counts;
   negative_counts.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -492,7 +534,7 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
     negative_counts.emplace(sa, static_cast<size_t>(count));
   }
 
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(kKeyBytes + 8, &n));
   std::unordered_map<PairKey, size_t> link_negative_counts;
   link_negative_counts.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -503,7 +545,7 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
     link_negative_counts.emplace(key, static_cast<size_t>(count));
   }
 
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(kKeyBytes, &n));
   std::vector<PairKey> episode_states(n);
   for (uint64_t i = 0; i < n; ++i) {
     ALEX_RETURN_NOT_OK(r->ReadU64(&episode_states[i]));

@@ -1,6 +1,7 @@
 #ifndef ALEX_CORE_ENGINE_H_
 #define ALEX_CORE_ENGINE_H_
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -54,7 +55,13 @@ class AlexEngine {
   /// stats of the episode just ended.
   EngineEpisodeStats EndEpisode();
 
-  const std::unordered_set<PairKey>& candidates() const { return candidates_; }
+  /// The candidate set, ascending and duplicate-free. The order is a
+  /// function of the set alone, so callers may sample from it, merge it, or
+  /// serialize it as-is.
+  const std::vector<PairKey>& candidates() const { return candidates_; }
+  bool IsCandidate(PairKey pair) const {
+    return std::binary_search(candidates_.begin(), candidates_.end(), pair);
+  }
   const LinkSpace& space() const { return *space_; }
   /// The live policy, behind the abstract interface. The concrete type is
   /// chosen by `config.policy` via the PolicyRegistry at construction.
@@ -93,6 +100,9 @@ class AlexEngine {
  private:
   void Explore(PairKey state, FeatureKey action);
   void Rollback(const StateAction& generator);
+  /// Sorted-vector insert and erase; each returns whether the set changed.
+  bool AddCandidate(PairKey pair);
+  bool RemoveCandidate(PairKey pair);
 
   const LinkSpace* space_;
   AlexConfig config_;
@@ -100,7 +110,11 @@ class AlexEngine {
   ActionPrior selectivity_prior_;
   Rng rng_;
 
-  std::unordered_set<PairKey> candidates_;
+  /// Sorted and duplicate-free. A partition holds 10^2-10^3 candidates, so
+  /// a contiguous vector beats a hash set: membership is a binary search,
+  /// an insert or erase shifts a few KB, and the sampling snapshot is a
+  /// plain copy.
+  std::vector<PairKey> candidates_;
   std::unordered_set<PairKey> blacklist_;
   std::unordered_set<PairKey> ever_explored_;
 

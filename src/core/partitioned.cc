@@ -53,7 +53,7 @@ PartitionedAlex::PartitionedAlex(const rdf::Dataset* left,
   }
 }
 
-ThreadPool* PartitionedAlex::pool() const {
+ThreadPool* PartitionedAlex::pool() {
   if (!pool_) {
     size_t threads = config_.num_threads;
     if (threads == 0) {
@@ -163,14 +163,11 @@ void PartitionedAlex::ProcessFeedbackBatch(
 EngineEpisodeStats PartitionedAlex::EndEpisode() {
   ALEX_TRACE_SPAN("episode", "PartitionedAlex::EndEpisode");
   obs::ScopedTimer timer(PartitionMetrics::Get().end_episode_seconds);
-  // Policy improvement is per-partition work over disjoint engines, so the
-  // episode ends in parallel; only the trivial stat summation is serial.
-  std::vector<EngineEpisodeStats> per_engine(engines_.size());
-  ParallelFor(pool(), engines_.size(), [this, &per_engine](size_t p) {
-    per_engine[p] = engines_[p]->EndEpisode();
-  });
+  // Inline, not on the pool: policy improvement over one episode's visited
+  // states takes microseconds per engine, less than waking the workers.
   EngineEpisodeStats total;
-  for (const EngineEpisodeStats& s : per_engine) {
+  for (const auto& engine : engines_) {
+    const EngineEpisodeStats s = engine->EndEpisode();
     total.feedback_items += s.feedback_items;
     total.positive_items += s.positive_items;
     total.negative_items += s.negative_items;
@@ -228,24 +225,14 @@ std::unordered_set<PairKey> PartitionedAlex::Candidates() const {
 }
 
 std::vector<PairKey> PartitionedAlex::CandidateVector() const {
-  // Pre-size one flat vector and let every partition copy its snapshot into
-  // its own disjoint slice concurrently. Left entities are partitioned, so
-  // no pair appears in two slices. Each slice is sorted in the same task:
-  // the result must depend only on the candidate set, not on the hash
-  // sets' insertion history, or a checkpoint-resumed run would feed the
-  // oracle a permuted sequence and diverge from the uninterrupted run.
-  const size_t n = engines_.size();
-  std::vector<size_t> offsets(n + 1, 0);
-  for (size_t p = 0; p < n; ++p) {
-    offsets[p + 1] = offsets[p] + engines_[p]->candidates().size();
+  // Every engine keeps its slice sorted, and left entities are partitioned
+  // so no pair appears in two slices: concatenation is the whole job.
+  std::vector<PairKey> out;
+  out.reserve(NumCandidates());
+  for (const auto& engine : engines_) {
+    out.insert(out.end(), engine->candidates().begin(),
+               engine->candidates().end());
   }
-  std::vector<PairKey> out(offsets[n]);
-  ParallelFor(pool(), n, [this, &offsets, &out](size_t p) {
-    size_t i = offsets[p];
-    for (PairKey key : engines_[p]->candidates()) out[i++] = key;
-    std::sort(out.begin() + static_cast<ptrdiff_t>(offsets[p]),
-              out.begin() + static_cast<ptrdiff_t>(offsets[p + 1]));
-  });
   return out;
 }
 

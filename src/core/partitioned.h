@@ -50,8 +50,9 @@ class PartitionedAlex {
   /// sequentially.
   void ProcessFeedbackBatch(const std::vector<feedback::FeedbackItem>& items);
 
-  /// Ends the episode on every partition in parallel on the worker pool
-  /// (policy improvement is per-partition work); returns aggregated stats.
+  /// Ends the episode on every partition, one after another on the calling
+  /// thread (each engine's policy improvement is too small to be worth a
+  /// pool task); returns aggregated stats.
   EngineEpisodeStats EndEpisode();
 
   /// An episode's aggregated stats plus the exact candidate-set delta it
@@ -77,14 +78,13 @@ class PartitionedAlex {
   EpisodeCommit CommitFeedbackBatch(
       const std::vector<feedback::FeedbackItem>& items);
 
-  /// Union of all partitions' candidate sets. Per-partition snapshots are
-  /// gathered in parallel on the worker pool.
+  /// Union of all partitions' candidate sets.
   std::unordered_set<PairKey> Candidates() const;
   /// Same union as a vector in canonical order: partition-major, sorted
-  /// within each partition. The order is a function of the candidate SET
-  /// only — not of hash-table iteration history — so a checkpoint-restored
-  /// run samples feedback from the exact sequence the uninterrupted run
-  /// would have seen.
+  /// within each partition. It is the engines' sorted slices concatenated
+  /// on the calling thread. The order is a function of the candidate SET
+  /// only, so a checkpoint-restored run samples feedback from the exact
+  /// sequence the uninterrupted run would have seen.
   std::vector<PairKey> CandidateVector() const;
   size_t NumCandidates() const;
 
@@ -121,7 +121,7 @@ class PartitionedAlex {
                    uint32_t format_version = ckpt::kFormatVersion);
 
  private:
-  ThreadPool* pool() const;
+  ThreadPool* pool();
 
   const rdf::Dataset* left_;
   const rdf::Dataset* right_;
@@ -129,9 +129,8 @@ class PartitionedAlex {
   std::vector<std::vector<rdf::EntityId>> partition_entities_;
   std::vector<std::unique_ptr<LinkSpace>> spaces_;
   std::vector<std::unique_ptr<AlexEngine>> engines_;
-  /// Lazily created; mutable so const aggregation queries (Candidates and
-  /// friends) can fan out over the pool too.
-  mutable std::unique_ptr<ThreadPool> pool_;
+  /// Lazily created by the first parallel build or feedback batch.
+  std::unique_ptr<ThreadPool> pool_;
   double shared_index_seconds_ = 0.0;
 };
 

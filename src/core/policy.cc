@@ -180,7 +180,7 @@ Status EpsilonGreedyPolicy::LoadState(BinaryReader* r) {
   for (uint64_t& word : rng_state) ALEX_RETURN_NOT_OK(r->ReadU64(&word));
 
   uint64_t n = 0;
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(32, &n));  // State, action, sum, count.
   std::unordered_map<StateAction, Stats, StateActionHash> returns;
   returns.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -195,7 +195,7 @@ Status EpsilonGreedyPolicy::LoadState(BinaryReader* r) {
     returns.emplace(sa, stats);
   }
 
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(24, &n));  // Action, sum, count.
   std::unordered_map<FeatureKey, Stats> global;
   global.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -209,7 +209,7 @@ Status EpsilonGreedyPolicy::LoadState(BinaryReader* r) {
     global.emplace(action, stats);
   }
 
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(16, &n));  // State, action.
   std::unordered_map<PairKey, FeatureKey> greedy;
   greedy.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -1,6 +1,7 @@
 #include "simulation/simulation.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/binary_io.h"
 #include "common/logging.h"
@@ -18,15 +19,38 @@ namespace {
 using core::PartitionedAlex;
 using feedback::PairKey;
 
-size_t SymmetricDifferenceSize(const std::unordered_set<PairKey>& a,
-                               const std::unordered_set<PairKey>& b) {
+/// The candidate set in ascending key order. CandidateVector() is
+/// partition-major, so it is re-sorted for the merges below.
+std::vector<PairKey> SortedCandidates(const PartitionedAlex& alex) {
+  std::vector<PairKey> keys = alex.CandidateVector();
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+/// Output iterator that counts what is written through it and drops it.
+struct CountingIterator {
+  using iterator_category = std::output_iterator_tag;
+  using value_type = void;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = void;
+
+  size_t* count;
+  CountingIterator& operator*() { return *this; }
+  CountingIterator& operator=(PairKey) {
+    ++*count;
+    return *this;
+  }
+  CountingIterator& operator++() { return *this; }
+  CountingIterator operator++(int) { return *this; }
+};
+
+/// |a △ b| of two ascending key vectors.
+size_t SymmetricDifferenceSize(const std::vector<PairKey>& a,
+                               const std::vector<PairKey>& b) {
   size_t diff = 0;
-  for (PairKey k : a) {
-    if (!b.count(k)) ++diff;
-  }
-  for (PairKey k : b) {
-    if (!a.count(k)) ++diff;
-  }
+  std::set_symmetric_difference(a.begin(), a.end(), b.begin(), b.end(),
+                                CountingIterator{&diff});
   return diff;
 }
 
@@ -312,7 +336,7 @@ RunResult Simulation::Run() {
   }
 
   // Episode 0: the automatic linker's quality.
-  std::unordered_set<PairKey> previous = alex.Candidates();
+  std::vector<PairKey> previous = SortedCandidates(alex);
   EpisodeRecord first;
   first.episode = 0;
   first.metrics = core::ComputeMetrics(previous, data_.truth);
@@ -351,7 +375,7 @@ RunResult Simulation::Run() {
           if (st.ok()) {
             start_episode = boundary + 1;
             result.resumed_from_episode = boundary;
-            previous = alex.Candidates();
+            previous = SortedCandidates(alex);
             ResumeCounter().Add(1);
             ALEX_LOG(kInfo) << "resumed '" << result.scenario_name
                             << "' from episode " << boundary << " ("
@@ -404,7 +428,7 @@ RunResult Simulation::Run() {
     }
 
     obs::PhaseTimer evaluate_phase(&telemetry, "evaluate");
-    const std::unordered_set<PairKey> current = alex.Candidates();
+    std::vector<PairKey> current = SortedCandidates(alex);
     EpisodeRecord record;
     record.episode = episode;
     record.metrics = core::ComputeMetrics(current, data_.truth);
@@ -452,10 +476,10 @@ RunResult Simulation::Run() {
 
     if (record.links_changed == 0) {
       result.converged_episode = episode;
-      previous = current;
+      previous = std::move(current);
       break;
     }
-    previous = current;
+    previous = std::move(current);
   }
 
   // New correct links discovered: correct links in the final set that were

@@ -458,6 +458,105 @@ TEST_F(EngineCheckpointTest, AdaptivePolicyEngineRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
+// Forged lengths. The container checksum is recomputable, so a crafted file
+// reaches the engine parser: every count it reads must be checked against
+// the bytes left before anything is allocated, and a forged one must come
+// back as a ParseError, not as std::bad_alloc.
+
+void PatchU64(std::string* bytes, size_t offset, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
+/// Offset of the candidate count in a v2 engine payload: after the tagged
+/// policy section, the four RNG words and the episode counter.
+size_t CandidateCountOffset(const std::string& snapshot) {
+  BinaryReader r(snapshot);
+  std::string_view view;
+  EXPECT_TRUE(r.ReadBytesView(&view).ok());
+  EXPECT_TRUE(r.ReadBytesView(&view).ok());
+  EXPECT_TRUE(r.ReadRaw(5 * 8, &view).ok());
+  return r.position();
+}
+
+/// Offset of the generator count: after the five key sets.
+size_t GeneratorCountOffset(const std::string& snapshot) {
+  BinaryReader r(snapshot);
+  std::string_view view;
+  EXPECT_TRUE(r.ReadRaw(CandidateCountOffset(snapshot), &view).ok());
+  for (int set = 0; set < 5; ++set) {
+    uint64_t n = 0;
+    EXPECT_TRUE(r.ReadU64(&n).ok());
+    EXPECT_TRUE(r.ReadRaw(n * 8, &view).ok());
+  }
+  return r.position();
+}
+
+class ForgedLengthTest : public EngineCheckpointTest {
+ protected:
+  /// A snapshot with explored candidates and provenance entries.
+  std::string Snapshot() {
+    AlexEngine engine(&space_, config_, 17);
+    engine.InitializeCandidates({PackPair(L(0), R(0)), PackPair(L(1), R(1))});
+    engine.ProcessFeedback(FeedbackItem{L(0), R(0), true});
+    EXPECT_GE(engine.candidates().size(), 2u);
+    return Bytes(engine);
+  }
+
+  /// Loads `bytes` into a fresh engine; the load must fail with a
+  /// ParseError and leave the engine as it was.
+  Status LoadIntoVictim(const std::string& bytes) {
+    AlexEngine victim(&space_, config_, 5);
+    victim.InitializeCandidates({PackPair(L(2), R(2))});
+    const std::string before = Bytes(victim);
+    BinaryReader r(bytes);
+    const Status st = victim.LoadState(&r);
+    EXPECT_EQ(Bytes(victim), before);
+    return st;
+  }
+};
+
+TEST_F(ForgedLengthTest, ForgedCandidateCountIsAParseError) {
+  std::string bytes = Snapshot();
+  PatchU64(&bytes, CandidateCountOffset(bytes), uint64_t{1} << 60);
+  const Status st = LoadIntoVictim(bytes);
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st;
+}
+
+TEST_F(ForgedLengthTest, ForgedGeneratorCountIsAParseError) {
+  std::string bytes = Snapshot();
+  PatchU64(&bytes, GeneratorCountOffset(bytes), uint64_t{1} << 60);
+  const Status st = LoadIntoVictim(bytes);
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st;
+}
+
+TEST_F(ForgedLengthTest, ForgedPolicyCountIsAParseError) {
+  // The ε-greedy payload starts with ε and the four RNG words; the
+  // state-action return count follows.
+  std::string bytes = Snapshot();
+  const size_t policy_start = 8 + std::string(kDefaultPolicyTag).size() + 8;
+  PatchU64(&bytes, policy_start + 5 * 8, uint64_t{1} << 60);
+  const Status st = LoadIntoVictim(bytes);
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st;
+}
+
+TEST_F(ForgedLengthTest, UnsortedCandidateSectionIsRejectedByName) {
+  std::string bytes = Snapshot();
+  const size_t first_key = CandidateCountOffset(bytes) + 8;
+  BinaryReader r(std::string_view(bytes).substr(first_key));
+  uint64_t a = 0;
+  uint64_t b = 0;
+  ASSERT_TRUE(r.ReadU64(&a).ok());
+  ASSERT_TRUE(r.ReadU64(&b).ok());
+  PatchU64(&bytes, first_key, b);
+  PatchU64(&bytes, first_key + 8, a);
+  const Status st = LoadIntoVictim(bytes);
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st;
+  EXPECT_NE(st.message().find("candidate"), std::string::npos) << st;
+}
+
+// ---------------------------------------------------------------------------
 // LinkIndex snapshot.
 
 TEST(LinkIndexCheckpointTest, RoundTripPreservesIdsOrderAndEpoch) {

@@ -140,7 +140,7 @@ TEST_P(EngineInvariantsTest, PerfectFeedbackMonotonicallyCleansWrongLinks) {
       if (!item) break;
       engine.ProcessFeedback(*item);
       if (!item->positive) {
-        ASSERT_FALSE(engine.candidates().count(item->key()));
+        ASSERT_FALSE(engine.IsCandidate(item->key()));
       }
     }
     engine.EndEpisode();
@@ -148,7 +148,7 @@ TEST_P(EngineInvariantsTest, PerfectFeedbackMonotonicallyCleansWrongLinks) {
   // All truth links seeded initially and never negatively judged remain.
   size_t kept_truth = 0;
   for (feedback::PairKey key : pair_.truth.pairs()) {
-    if (engine.candidates().count(key)) ++kept_truth;
+    if (engine.IsCandidate(key)) ++kept_truth;
   }
   EXPECT_EQ(kept_truth, pair_.truth.size());
 }

@@ -70,7 +70,7 @@ TEST_F(EngineTest, PositiveFeedbackExploresBand) {
   // The only feature is (name, label) at score 1.0; the band [0.95, 1.05]
   // contains every exact-name pair, so all 6 become candidates.
   EXPECT_EQ(engine.candidates().size(), 6u);
-  EXPECT_TRUE(engine.candidates().count(PackPair(L(3), R(3))));
+  EXPECT_TRUE(engine.IsCandidate(PackPair(L(3), R(3))));
   EXPECT_EQ(engine.total_explored_links(), 5u);
 }
 
@@ -79,7 +79,7 @@ TEST_F(EngineTest, NegativeFeedbackRemovesAndBlacklists) {
   engine.InitializeCandidates({PackPair(L(0), R(0)), PackPair(L(0), R(1))});
   engine.ProcessFeedback(Negative(L(0), R(1)));
   EXPECT_EQ(engine.candidates().size(), 1u);
-  EXPECT_FALSE(engine.candidates().count(PackPair(L(0), R(1))));
+  EXPECT_FALSE(engine.IsCandidate(PackPair(L(0), R(1))));
   EXPECT_TRUE(engine.IsBlacklisted(PackPair(L(0), R(1))));
   EXPECT_EQ(engine.blacklist_size(), 1u);
 }
@@ -90,7 +90,7 @@ TEST_F(EngineTest, BlacklistedLinksAreNotReExplored) {
   // Blacklist pair 3 first, then explore from pair 0.
   engine.ProcessFeedback(Negative(L(3), R(3)));
   engine.ProcessFeedback(Positive(L(0), R(0)));
-  EXPECT_FALSE(engine.candidates().count(PackPair(L(3), R(3))));
+  EXPECT_FALSE(engine.IsCandidate(PackPair(L(3), R(3))));
   EXPECT_EQ(engine.candidates().size(), 5u);  // 6 exact pairs minus pair 3.
 }
 
@@ -101,7 +101,7 @@ TEST_F(EngineTest, BlacklistDisabledAllowsReExploration) {
   engine.ProcessFeedback(Negative(L(3), R(3)));
   engine.ProcessFeedback(Positive(L(0), R(0)));
   // Without the blacklist the wrong link is re-added by exploration.
-  EXPECT_TRUE(engine.candidates().count(PackPair(L(3), R(3))));
+  EXPECT_TRUE(engine.IsCandidate(PackPair(L(3), R(3))));
 }
 
 TEST_F(EngineTest, RollbackRemovesGeneratedLinks) {
@@ -116,7 +116,7 @@ TEST_F(EngineTest, RollbackRemovesGeneratedLinks) {
   // Pairs 1,2 removed by explicit negatives; 3,4,5 removed by rollback;
   // pair 0 (positively marked) survives.
   EXPECT_EQ(engine.candidates().size(), 1u);
-  EXPECT_TRUE(engine.candidates().count(PackPair(L(0), R(0))));
+  EXPECT_TRUE(engine.IsCandidate(PackPair(L(0), R(0))));
 }
 
 TEST_F(EngineTest, RolledBackLinksAreNotBlacklisted) {
@@ -130,7 +130,7 @@ TEST_F(EngineTest, RolledBackLinksAreNotBlacklisted) {
   EXPECT_FALSE(engine.IsBlacklisted(PackPair(L(3), R(3))));
   // A later action may rediscover 3,4,5.
   engine.ProcessFeedback(Positive(L(0), R(0)));
-  EXPECT_TRUE(engine.candidates().count(PackPair(L(3), R(3))));
+  EXPECT_TRUE(engine.IsCandidate(PackPair(L(3), R(3))));
 }
 
 TEST_F(EngineTest, RollbackDisabledKeepsGeneratedLinks) {
@@ -151,8 +151,8 @@ TEST_F(EngineTest, PositivelyMarkedLinksSurviveRollback) {
   engine.ProcessFeedback(Positive(L(5), R(5)));  // Approve an explored link.
   engine.ProcessFeedback(Negative(L(1), R(1)));
   engine.ProcessFeedback(Negative(L(2), R(2)));  // Triggers rollback.
-  EXPECT_TRUE(engine.candidates().count(PackPair(L(5), R(5))));
-  EXPECT_FALSE(engine.candidates().count(PackPair(L(3), R(3))));
+  EXPECT_TRUE(engine.IsCandidate(PackPair(L(5), R(5))));
+  EXPECT_FALSE(engine.IsCandidate(PackPair(L(3), R(3))));
 }
 
 TEST_F(EngineTest, EpisodeStatsAreAccurate) {
@@ -221,7 +221,7 @@ TEST_F(EngineTest, PositiveFeedbackReadmitsRejectedLink) {
   EXPECT_TRUE(engine.candidates().empty());
   EXPECT_TRUE(engine.IsBlacklisted(PackPair(L(0), R(0))));
   engine.ProcessFeedback(Positive(L(0), R(0)));  // User corrects themselves.
-  EXPECT_TRUE(engine.candidates().count(PackPair(L(0), R(0))));
+  EXPECT_TRUE(engine.IsCandidate(PackPair(L(0), R(0))));
   EXPECT_FALSE(engine.IsBlacklisted(PackPair(L(0), R(0))));
 }
 

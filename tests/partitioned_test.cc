@@ -65,10 +65,10 @@ TEST_F(PartitionedTest, CandidateRoutingAndUnion) {
   EXPECT_EQ(alex.Candidates().size(), 3u);
   EXPECT_EQ(alex.CandidateVector().size(), 3u);
   // Each candidate lives in the partition of its left entity.
-  EXPECT_TRUE(alex.engine(0).candidates().count(PackPair(0, 0)));
-  EXPECT_TRUE(alex.engine(1).candidates().count(PackPair(1, 1)));
-  EXPECT_TRUE(alex.engine(2).candidates().count(PackPair(6, 2)));
-  EXPECT_FALSE(alex.engine(3).candidates().count(PackPair(0, 0)));
+  EXPECT_TRUE(alex.engine(0).IsCandidate(PackPair(0, 0)));
+  EXPECT_TRUE(alex.engine(1).IsCandidate(PackPair(1, 1)));
+  EXPECT_TRUE(alex.engine(2).IsCandidate(PackPair(6, 2)));
+  EXPECT_FALSE(alex.engine(3).IsCandidate(PackPair(0, 0)));
 }
 
 TEST_F(PartitionedTest, FeedbackRoutedToOwningPartition) {
@@ -77,8 +77,8 @@ TEST_F(PartitionedTest, FeedbackRoutedToOwningPartition) {
   alex.InitializeCandidates(
       std::vector<feedback::PairKey>{PackPair(2, 2), PackPair(3, 3)});
   alex.ProcessFeedback(feedback::FeedbackItem{2, 2, false});
-  EXPECT_FALSE(alex.engine(2).candidates().count(PackPair(2, 2)));
-  EXPECT_TRUE(alex.engine(3).candidates().count(PackPair(3, 3)));
+  EXPECT_FALSE(alex.engine(2).IsCandidate(PackPair(2, 2)));
+  EXPECT_TRUE(alex.engine(3).IsCandidate(PackPair(3, 3)));
   EXPECT_EQ(alex.NumCandidates(), 1u);
 }
 
