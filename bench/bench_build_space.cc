@@ -1,31 +1,25 @@
 // Build-phase scalability bench: measures link-space construction wall time
-// and candidate counts at 1/2/4/8 partitions, with the legacy per-partition
-// blocking (each partition re-inverts the right dataset) as the baseline and
-// the shared-BlockingIndex build as the optimized mode. Output is JSON so
-// the speedup is measured, not asserted: legacy total time grows with the
-// partition count (P× the blocking work), shared total stays flat and the
-// slowest partition shrinks as partitions get smaller.
+// and candidate counts at 1/2/4/8 partitions. Every partition borrows one
+// shared right-dataset BlockingIndex plus term-key/value caches and keeps
+// its build temporaries in a per-partition arena, so total time should stay
+// flat as the partition count grows while the slowest partition shrinks.
 //
-// A second, hardware-conscious sweep (mode=topology) measures the shared
-// build under the four {pinned, unpinned} × {arena, global-allocator}
-// execution configurations at each partition count. Every configuration's
+// Each partition count is measured unpinned and with workers pinned 1:1 to
+// CPUs (the hardware-conscious lever of the exec layer). Every run's
 // finished spaces are digested (pairs, feature keys, feature score bits,
-// partition by partition) and the digests must agree exactly — pinning and
-// arena allocation are performance levers, never semantic ones — or the
+// partition by partition) and the pinned digest must equal the unpinned
+// one — pinning is a performance lever, never a semantic one — or the
 // bench exits 1. The detected topology (cores, NUMA nodes, whether
 // affinity syscalls work) is embedded in the JSON so a 1-core CI run is
 // distinguishable from a real multi-core measurement.
 //
-// Usage: bench_build_space [scenario_name] [reps] [mode]   (defaults:
+// Usage: bench_build_space [scenario_name] [reps]   (defaults:
 // dbpedia_nytimes — the paper's batch-mode scenario of Figures 2a and 5 —
-// 3 repetitions reporting min-of-N wall times, and mode=all; mode=classic
-// runs only the legacy-vs-shared sweep, mode=topology only the
-// hardware-conscious sweep. CI smoke runs `bench_build_space
-// dbpedia_nytimes 1 topology` reduced.)
+// and 3 repetitions reporting min-of-N wall times. CI smoke runs
+// `bench_build_space dbpedia_nytimes 1` reduced.)
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -42,11 +36,12 @@ namespace {
 
 struct RunRecord {
   size_t partitions = 0;
-  bool shared = false;
+  bool pinned = false;
   double total_seconds = 0.0;
   double max_partition_seconds = 0.0;
   double shared_index_seconds = 0.0;
   alex::core::LinkSpace::BuildStats stats;
+  uint64_t digest = 0;
 };
 
 /// FNV-1a over every observable bit of the finished spaces: pair keys in
@@ -80,16 +75,16 @@ uint64_t DigestSpaces(const alex::core::PartitionedAlex& alex) {
 }
 
 RunRecord MeasureBuild(const alex::datagen::GeneratedPair& pair,
-                       size_t partitions, bool shared, size_t reps) {
+                       size_t partitions, bool pinned, size_t reps) {
   // Builds are deterministic; wall-time noise is scheduler/load. Min-of-N
   // is the standard way to report the build's actual cost.
   RunRecord record;
   record.partitions = partitions;
-  record.shared = shared;
+  record.pinned = pinned;
   for (size_t rep = 0; rep < reps; ++rep) {
     alex::core::AlexConfig config;
     config.num_partitions = partitions;
-    config.shared_blocking_index = shared;
+    config.pin_threads = pinned;
     alex::core::PartitionedAlex alex(&pair.left, &pair.right, config);
     alex::Stopwatch watch;
     const std::vector<double> seconds = alex.Build();
@@ -103,71 +98,24 @@ RunRecord MeasureBuild(const alex::datagen::GeneratedPair& pair,
     if (rep == 0 || max_partition < record.max_partition_seconds) {
       record.max_partition_seconds = max_partition;
     }
-    record.stats = alex.AggregatedSpaceStats();  // Identical across reps.
-  }
-  return record;
-}
-
-struct TopoRecord {
-  size_t partitions = 0;
-  bool pinned = false;
-  bool arena = false;
-  double total_seconds = 0.0;
-  double max_partition_seconds = 0.0;
-  uint64_t digest = 0;
-};
-
-TopoRecord MeasureTopoBuild(const alex::datagen::GeneratedPair& pair,
-                            size_t partitions, bool pinned, bool arena,
-                            size_t reps) {
-  TopoRecord record;
-  record.partitions = partitions;
-  record.pinned = pinned;
-  record.arena = arena;
-  for (size_t rep = 0; rep < reps; ++rep) {
-    alex::core::AlexConfig config;
-    config.num_partitions = partitions;
-    config.shared_blocking_index = true;
-    config.pin_threads = pinned;
-    config.arena_build_alloc = arena;
-    alex::core::PartitionedAlex alex(&pair.left, &pair.right, config);
-    alex::Stopwatch watch;
-    const std::vector<double> seconds = alex.Build();
-    const double total = watch.ElapsedSeconds();
-    double max_partition = 0.0;
-    for (double s : seconds) max_partition = std::max(max_partition, s);
-    if (rep == 0 || total < record.total_seconds) {
-      record.total_seconds = total;
-    }
-    if (rep == 0 || max_partition < record.max_partition_seconds) {
-      record.max_partition_seconds = max_partition;
-    }
-    record.digest = DigestSpaces(alex);  // Deterministic across reps.
+    // Deterministic across reps.
+    record.stats = alex.AggregatedSpaceStats();
+    record.digest = DigestSpaces(alex);
   }
   return record;
 }
 
 void PrintRecord(const RunRecord& r, bool last) {
   std::printf(
-      "    {\"partitions\": %zu, \"mode\": \"%s\", \"total_seconds\": %.4f, "
+      "    {\"partitions\": %zu, \"pinned\": %s, \"total_seconds\": %.4f, "
       "\"max_partition_seconds\": %.4f, \"shared_index_seconds\": %.4f, "
       "\"candidate_pairs\": %llu, \"kept_pairs\": %llu, "
-      "\"features_indexed\": %llu}%s\n",
-      r.partitions, r.shared ? "shared" : "legacy", r.total_seconds,
+      "\"features_indexed\": %llu, \"digest\": \"%016llx\"}%s\n",
+      r.partitions, r.pinned ? "true" : "false", r.total_seconds,
       r.max_partition_seconds, r.shared_index_seconds,
       static_cast<unsigned long long>(r.stats.candidate_pairs),
       static_cast<unsigned long long>(r.stats.kept_pairs),
       static_cast<unsigned long long>(r.stats.features_indexed),
-      last ? "" : ",");
-}
-
-void PrintTopoRecord(const TopoRecord& r, bool last) {
-  std::printf(
-      "    {\"partitions\": %zu, \"pinned\": %s, \"arena\": %s, "
-      "\"total_seconds\": %.4f, \"max_partition_seconds\": %.4f, "
-      "\"digest\": \"%016llx\"}%s\n",
-      r.partitions, r.pinned ? "true" : "false", r.arena ? "true" : "false",
-      r.total_seconds, r.max_partition_seconds,
       static_cast<unsigned long long>(r.digest), last ? "" : ",");
 }
 
@@ -180,14 +128,6 @@ int main(int argc, char** argv) {
   const std::string scenario_name =
       argc > 1 ? argv[1] : std::string("dbpedia_nytimes");
   const size_t reps = bench::ParseUintArg(argc, argv, 2, 3, "reps");
-  const std::string mode = argc > 3 ? argv[3] : std::string("all");
-  const bool run_classic = mode == "all" || mode == "classic";
-  const bool run_topology = mode == "all" || mode == "topology";
-  if (!run_classic && !run_topology) {
-    std::fprintf(stderr, "unknown mode: %s (want all|classic|topology)\n",
-                 mode.c_str());
-    return 2;
-  }
   datagen::ScenarioConfig scenario = datagen::ScenarioByName(scenario_name);
   if (scenario.name.empty()) {
     std::fprintf(stderr, "unknown scenario: %s\n", scenario_name.c_str());
@@ -197,84 +137,45 @@ int main(int argc, char** argv) {
   const datagen::GeneratedPair pair = datagen::GenerateScenario(scenario);
   telemetry.AddPhase("generate", generate_watch.ElapsedSeconds());
 
+  // Unpinned first at each partition count, so the speedup denominator
+  // comes from the same sweep. The sidecar phase records the full wall time
+  // of each partition count (all reps), so the phases stay disjoint and sum
+  // to ~the bench wall.
   const std::vector<size_t> partition_counts = {1, 2, 4, 8};
-  std::vector<RunRecord> legacy_runs;
-  std::vector<RunRecord> shared_runs;
-  if (run_classic) {
-    for (size_t partitions : partition_counts) {
-      // The sidecar phase records the full wall time of each measured
-      // section (all reps), so the phases stay disjoint and sum to ~the
-      // bench wall.
-      Stopwatch legacy_watch;
-      legacy_runs.push_back(
-          MeasureBuild(pair, partitions, /*shared=*/false, reps));
-      telemetry.AddPhase("legacy_p" + std::to_string(partitions),
-                         legacy_watch.ElapsedSeconds());
-      Stopwatch shared_watch;
-      shared_runs.push_back(
-          MeasureBuild(pair, partitions, /*shared=*/true, reps));
-      telemetry.AddPhase("shared_p" + std::to_string(partitions),
-                         shared_watch.ElapsedSeconds());
-    }
-  }
-
-  // Hardware-conscious sweep: {unpinned, pinned} × {global, arena} per
-  // partition count, baseline (unpinned+global) first so the speedup
-  // denominators come from the same sweep.
-  std::vector<TopoRecord> topo_runs;
+  std::vector<RunRecord> runs;
   bool equivalent = true;
-  if (run_topology) {
-    const struct {
-      bool pinned;
-      bool arena;
-      const char* tag;
-    } combos[] = {{false, false, "base"},
-                  {false, true, "arena"},
-                  {true, false, "pinned"},
-                  {true, true, "pinned_arena"}};
-    for (size_t partitions : partition_counts) {
-      Stopwatch topo_watch;
-      const size_t first = topo_runs.size();
-      for (const auto& combo : combos) {
-        topo_runs.push_back(MeasureTopoBuild(pair, partitions, combo.pinned,
-                                             combo.arena, reps));
-        if (topo_runs.back().digest != topo_runs[first].digest) {
-          equivalent = false;
-          std::fprintf(stderr,
-                       "digest mismatch at %zu partitions: %s produced "
-                       "%016llx, base produced %016llx\n",
-                       partitions, combo.tag,
-                       static_cast<unsigned long long>(topo_runs.back().digest),
-                       static_cast<unsigned long long>(topo_runs[first].digest));
-        }
-      }
-      telemetry.AddPhase("topology_p" + std::to_string(partitions),
-                         topo_watch.ElapsedSeconds());
-      // Headline sidecar fields: what the hardware-conscious configuration
-      // buys over the baseline at this partition count.
-      const TopoRecord& base = topo_runs[first];
-      const TopoRecord& best = topo_runs[first + 3];  // pinned_arena
-      telemetry.AddField(
-          "topology_speedup_pinned_arena_p" + std::to_string(partitions),
-          base.total_seconds / std::max(best.total_seconds, 1e-12));
-      telemetry.AddField(
-          "topology_speedup_arena_p" + std::to_string(partitions),
-          base.total_seconds /
-              std::max(topo_runs[first + 1].total_seconds, 1e-12));
+  for (size_t partitions : partition_counts) {
+    Stopwatch watch;
+    const RunRecord unpinned =
+        MeasureBuild(pair, partitions, /*pinned=*/false, reps);
+    const RunRecord pinned =
+        MeasureBuild(pair, partitions, /*pinned=*/true, reps);
+    telemetry.AddPhase("build_p" + std::to_string(partitions),
+                       watch.ElapsedSeconds());
+    if (pinned.digest != unpinned.digest) {
+      equivalent = false;
+      std::fprintf(stderr,
+                   "digest mismatch at %zu partitions: pinned produced "
+                   "%016llx, unpinned produced %016llx\n",
+                   partitions, static_cast<unsigned long long>(pinned.digest),
+                   static_cast<unsigned long long>(unpinned.digest));
     }
-    telemetry.AddField("topology_equivalent",
-                       static_cast<uint64_t>(equivalent ? 1 : 0));
+    telemetry.AddField(
+        "topology_speedup_pinned_p" + std::to_string(partitions),
+        unpinned.total_seconds / std::max(pinned.total_seconds, 1e-12));
+    runs.push_back(unpinned);
+    runs.push_back(pinned);
   }
+  telemetry.AddField("topology_equivalent",
+                     static_cast<uint64_t>(equivalent ? 1 : 0));
 
-  // One extra traced 4-partition shared build; the sidecar writes it out as
+  // One extra traced 4-partition build; the sidecar writes it out as
   // bench_build_space.trace.json (Chrome trace_event / Perfetto format).
-  if (run_classic) {
-    obs::TraceRecorder::Global().SetEnabled(true);
-    Stopwatch traced_watch;
-    MeasureBuild(pair, 4, /*shared=*/true, /*reps=*/1);
-    telemetry.AddPhase("traced_shared_p4", traced_watch.ElapsedSeconds());
-    obs::TraceRecorder::Global().SetEnabled(false);
-  }
+  obs::TraceRecorder::Global().SetEnabled(true);
+  Stopwatch traced_watch;
+  MeasureBuild(pair, 4, /*pinned=*/false, /*reps=*/1);
+  telemetry.AddPhase("traced_p4", traced_watch.ElapsedSeconds());
+  obs::TraceRecorder::Global().SetEnabled(false);
 
   const exec::CpuTopology& topo = exec::CpuTopology::Detect();
   std::printf("{\n");
@@ -289,32 +190,12 @@ int main(int argc, char** argv) {
       "\"pinning_supported\": %s},\n",
       topo.num_cpus(), topo.num_nodes(),
       topo.affinity_supported() ? "true" : "false");
-  if (run_classic) {
-    std::printf("  \"runs\": [\n");
-    for (size_t i = 0; i < partition_counts.size(); ++i) {
-      PrintRecord(legacy_runs[i], /*last=*/false);
-      PrintRecord(shared_runs[i],
-                  /*last=*/i + 1 == partition_counts.size());
-    }
-    std::printf("  ],\n");
-    std::printf("  \"speedup_shared_vs_legacy\": [\n");
-    for (size_t i = 0; i < partition_counts.size(); ++i) {
-      std::printf(
-          "    {\"partitions\": %zu, \"speedup\": %.2f}%s\n",
-          partition_counts[i],
-          legacy_runs[i].total_seconds / shared_runs[i].total_seconds,
-          i + 1 == partition_counts.size() ? "" : ",");
-    }
-    std::printf("  ]%s\n", run_topology ? "," : "");
+  std::printf("  \"runs\": [\n");
+  for (size_t i = 0; i < runs.size(); ++i) {
+    PrintRecord(runs[i], /*last=*/i + 1 == runs.size());
   }
-  if (run_topology) {
-    std::printf("  \"topology_runs\": [\n");
-    for (size_t i = 0; i < topo_runs.size(); ++i) {
-      PrintTopoRecord(topo_runs[i], /*last=*/i + 1 == topo_runs.size());
-    }
-    std::printf("  ],\n");
-    std::printf("  \"equivalent\": %s\n", equivalent ? "true" : "false");
-  }
+  std::printf("  ],\n");
+  std::printf("  \"equivalent\": %s\n", equivalent ? "true" : "false");
   std::printf("}\n");
   return equivalent ? 0 : 1;
 }

@@ -9,15 +9,17 @@
 //
 // Performance (always): the same workload on the truth links under three
 // execution configurations —
-//   legacy        - string-path execution, re-parsed and re-planned per call;
-//   fast          - compiled plans (memoized per query text) + probe-caching
-//                   endpoints + dictionary-encoded enumeration;
+//   compiled      - compiled plans (memoized per query text) over plain
+//                   endpoints;
+//   fast          - compiled plus probe-caching endpoints;
 //   fast_parallel - fast, fanned across a thread pool with deterministic
 //                   merge.
-// Before timing, every query is executed under both paths and the full
-// results (rows, provenance, degradation detail) are digest-compared; any
-// mismatch fails the bench (exit 1), as does an all-zero-rows workload, so
-// CI smoke runs catch both correctness and wiring regressions.
+// Before timing, every query's full result (rows, provenance, degradation
+// detail) is digest-compared across the uncached engine, a cold probe cache
+// and a warm one; the parallel run must return the same rows and link
+// provenance as the sequential one. Any mismatch fails the bench (exit 1),
+// as does an all-zero-rows workload, so CI smoke runs catch both
+// correctness and wiring regressions.
 //
 // Output: one JSON object on stdout. Cache hit rates and plan-compile times
 // are included both in the JSON and in the telemetry sidecar fields.
@@ -171,53 +173,42 @@ int main(int argc, char** argv) {
     telemetry.AddPhase("quality_arms", arms_watch.ElapsedSeconds());
   }
 
-  // --- Equivalence: legacy vs fast must be bit-identical per query. ---
+  // --- Equivalence: uncached vs cold cache vs warm cache, per query. ---
   Stopwatch equivalence_watch;
   fed::Endpoint left(&pair.left);
   fed::Endpoint right(&pair.right);
   size_t mismatches = 0;
   {
-    fed::FederatedEngine legacy(&left, &right, &truth_index);
-    legacy.set_execution_mode(
-        fed::FederatedEngine::ExecutionMode::kLegacyStrings);
+    fed::FederatedEngine uncached(&left, &right, &truth_index);
     fed::CachingEndpoint cached_left(
         &left, fed::ProbeCacheConfig(),
         [&truth_index] { return truth_index.epoch(); });
     fed::CachingEndpoint cached_right(
         &right, fed::ProbeCacheConfig(),
         [&truth_index] { return truth_index.epoch(); });
-    fed::FederatedEngine fast(&cached_left, &cached_right, &truth_index);
+    fed::FederatedEngine cached(&cached_left, &cached_right, &truth_index);
     for (const std::string& query : workload.queries) {
-      if (Digest(legacy.ExecuteText(query)) !=
-          Digest(fast.ExecuteText(query))) {
-        ++mismatches;
-      }
+      const std::string expected = Digest(uncached.ExecuteText(query));
+      if (Digest(cached.ExecuteText(query)) != expected) ++mismatches;
       // Warm pass over the now-populated caches must agree too.
-      if (Digest(legacy.ExecuteText(query)) !=
-          Digest(fast.ExecuteText(query))) {
-        ++mismatches;
-      }
+      if (Digest(cached.ExecuteText(query)) != expected) ++mismatches;
     }
   }
   telemetry.AddPhase("equivalence", equivalence_watch.ElapsedSeconds());
 
-  // --- Performance: legacy vs fast vs fast_parallel on the truth links. ---
+  // --- Performance: compiled vs fast vs fast_parallel on the truth links.
   const obs::MetricsSnapshot perf_before =
       obs::MetricsRegistry::Global().Snapshot();
   Stopwatch perf_watch;
 
-  double legacy_seconds = 1e300;
-  size_t legacy_rows = 0;
+  double compiled_seconds = 1e300;
+  simulation::WorkloadRunStats compiled_stats;
   {
     fed::FederatedEngine engine(&left, &right, &truth_index);
-    engine.set_execution_mode(
-        fed::FederatedEngine::ExecutionMode::kLegacyStrings);
     for (size_t rep = 0; rep < reps; ++rep) {
       Stopwatch watch;
-      const simulation::WorkloadRunStats stats =
-          simulation::ExecuteFederatedWorkload(engine, workload);
-      legacy_seconds = std::min(legacy_seconds, watch.ElapsedSeconds());
-      legacy_rows = stats.rows;
+      compiled_stats = simulation::ExecuteFederatedWorkload(engine, workload);
+      compiled_seconds = std::min(compiled_seconds, watch.ElapsedSeconds());
     }
   }
 
@@ -243,7 +234,7 @@ int main(int argc, char** argv) {
   }
 
   double parallel_seconds = 1e300;
-  size_t parallel_rows = 0;
+  simulation::WorkloadRunStats parallel_stats;
   {
     // Pre-build the store indexes: parallel readers must not race the lazy
     // first-read build.
@@ -257,10 +248,9 @@ int main(int argc, char** argv) {
     options.pool = &pool;
     for (size_t rep = 0; rep < reps; ++rep) {
       Stopwatch watch;
-      const simulation::WorkloadRunStats stats =
+      parallel_stats =
           simulation::ExecuteFederatedWorkload(engine, workload, options);
       parallel_seconds = std::min(parallel_seconds, watch.ElapsedSeconds());
-      parallel_rows = stats.rows;
     }
   }
   telemetry.AddPhase("perf", perf_watch.ElapsedSeconds());
@@ -325,20 +315,22 @@ int main(int argc, char** argv) {
     compile_count = hist->second.count;
     compile_mean = hist->second.Mean();
   }
-  const double speedup_fast =
-      fast_seconds > 0 ? legacy_seconds / fast_seconds : 0.0;
-  const double speedup_parallel =
-      parallel_seconds > 0 ? legacy_seconds / parallel_seconds : 0.0;
-  const bool rows_agree =
-      legacy_rows == fast_rows && fast_rows == parallel_rows;
-  const bool equivalent = mismatches == 0 && rows_agree;
+  const double cache_speedup =
+      fast_seconds > 0 ? compiled_seconds / fast_seconds : 0.0;
+  const double parallel_speedup =
+      parallel_seconds > 0 ? fast_seconds / parallel_seconds : 0.0;
+  const bool runs_agree =
+      compiled_stats.rows == fast_rows &&
+      parallel_stats.rows == fast_rows &&
+      parallel_stats.links_observed == compiled_stats.links_observed;
+  const bool equivalent = mismatches == 0 && runs_agree;
   const bool nonempty = fast_rows > 0;
 
   telemetry.AddField("probe_cache_hit_rate", hit_rate);
   telemetry.AddField("plan_cache_hits", counter("fed.plan_cache_hits"));
   telemetry.AddField("plan_compile_seconds_mean", compile_mean);
-  telemetry.AddField("speedup_fast", speedup_fast);
-  telemetry.AddField("speedup_parallel", speedup_parallel);
+  telemetry.AddField("cache_speedup", cache_speedup);
+  telemetry.AddField("parallel_speedup", parallel_speedup);
   if (trace) {
     telemetry.AddField("trace_events", trace_events);
     telemetry.AddField("trace_runtime_overhead_pct", trace_overhead_pct);
@@ -366,11 +358,11 @@ int main(int argc, char** argv) {
   }
   std::printf("%s],\n", arms.empty() ? "" : "\n  ");
   std::printf("  \"perf\": {\n");
-  std::printf("    \"legacy_seconds\": %.6f,\n", legacy_seconds);
+  std::printf("    \"compiled_seconds\": %.6f,\n", compiled_seconds);
   std::printf("    \"fast_seconds\": %.6f,\n", fast_seconds);
   std::printf("    \"fast_parallel_seconds\": %.6f,\n", parallel_seconds);
-  std::printf("    \"speedup_fast\": %.2f,\n", speedup_fast);
-  std::printf("    \"speedup_parallel\": %.2f,\n", speedup_parallel);
+  std::printf("    \"cache_speedup\": %.2f,\n", cache_speedup);
+  std::printf("    \"parallel_speedup\": %.2f,\n", parallel_speedup);
   std::printf("    \"rows\": %zu,\n", fast_rows);
   std::printf("    \"probe_cache_hit_rate\": %.4f,\n", hit_rate);
   std::printf("    \"probe_cache_hits\": %llu,\n",
@@ -404,9 +396,9 @@ int main(int argc, char** argv) {
   if (!equivalent || !nonempty) {
     std::fprintf(stderr,
                  "FAIL: equivalent=%d rows=%zu (mismatches=%zu, "
-                 "legacy_rows=%zu, parallel_rows=%zu)\n",
-                 equivalent ? 1 : 0, fast_rows, mismatches, legacy_rows,
-                 parallel_rows);
+                 "compiled_rows=%zu, parallel_rows=%zu)\n",
+                 equivalent ? 1 : 0, fast_rows, mismatches,
+                 compiled_stats.rows, parallel_stats.rows);
     return 1;
   }
   return 0;

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string>
 #include <unordered_set>
 
-#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "similarity/value.h"
 
 namespace alex::core {
 namespace {
@@ -42,37 +39,9 @@ struct SpaceMetrics {
   }
 };
 
-/// Legacy string blocking keys for one attribute value: the full normalized
-/// value, its word tokens, and a 5-character prefix per longer token
-/// (tolerates tail typos). Kept only for BuildLegacy; the optimized path
-/// uses the memoized hashed keys of core/blocking.h.
-void CollectBlockingKeys(const Dataset& ds, rdf::TermId object,
-                         std::unordered_set<std::string>* keys) {
-  const rdf::Term& t = ds.dict().term(object);
-  const std::string norm = ToLowerAscii(
-      t.is_iri() ? std::string(sim::IriLocalName(t.value)) : t.value);
-  if (norm.empty()) return;
-  keys->insert("v:" + norm);
-  for (const std::string& tok : WordTokens(norm)) {
-    if (tok.size() < 2) continue;
-    keys->insert("t:" + tok);
-    if (tok.size() >= 6) keys->insert("p:" + tok.substr(0, 5));
-  }
-}
-
-std::unordered_set<std::string> EntityBlockingKeys(const Dataset& ds,
-                                                   EntityId e) {
-  std::unordered_set<std::string> keys;
-  for (const rdf::Attribute& a : ds.attributes(e)) {
-    CollectBlockingKeys(ds, a.object, &keys);
-  }
-  return keys;
-}
-
-/// Stop-value cap shared by both build paths: a key proposing a sizable
-/// fraction of the whole cross product is a stop value regardless of the
-/// absolute cap (e.g. a shared rdf:type class at small scale); such blocks
-/// carry no identifying signal.
+/// Stop-value cap: a key proposing a sizable fraction of the whole cross
+/// product is a stop value regardless of the absolute cap (e.g. a shared
+/// rdf:type class at small scale); such blocks carry no identifying signal.
 uint64_t EffectiveBlockCap(uint64_t total_possible, size_t max_block_pairs) {
   const uint64_t relative_cap = std::max<uint64_t>(100, total_possible / 20);
   return std::min<uint64_t>(max_block_pairs, relative_cap);
@@ -131,7 +100,7 @@ void LinkSpace::Build(const Dataset& left, const Dataset& right,
   // allocation churn (millions of node/table allocations that all die when
   // this function returns); with an arena they become pointer bumps. Same
   // container types either way — a null arena in ArenaStl is the global
-  // allocator — so both paths run literally the same code.
+  // allocator — so the arena and null-arena builds run the same code.
   std::unordered_map<BlockKey, size_t, std::hash<BlockKey>,
                      std::equal_to<BlockKey>,
                      exec::ArenaStl<std::pair<const BlockKey, size_t>>>
@@ -193,53 +162,6 @@ void LinkSpace::Build(const Dataset& left, const Dataset& right,
   const ValueCache right_values(right);
   Build(left, right, left_entities, theta, max_block_pairs,
         BuildResources{&right_index, &left_keys, &left_values, &right_values});
-}
-
-void LinkSpace::BuildLegacy(const Dataset& left, const Dataset& right,
-                            const std::vector<EntityId>& left_entities,
-                            double theta, size_t max_block_pairs) {
-  ALEX_TRACE_SPAN("build", "LinkSpace::BuildLegacy");
-  SpaceMetrics& metrics = SpaceMetrics::Get();
-  obs::ScopedTimer build_timer(metrics.build_seconds);
-  Reset(static_cast<uint64_t>(left_entities.size()) *
-        static_cast<uint64_t>(right.num_entities()));
-
-  // Invert the right dataset by blocking key — per call, i.e. per partition.
-  std::unordered_map<std::string, std::vector<EntityId>> right_blocks;
-  for (EntityId r = 0; r < right.num_entities(); ++r) {
-    for (const std::string& key : EntityBlockingKeys(right, r)) {
-      right_blocks[key].push_back(r);
-    }
-  }
-  std::unordered_map<std::string, size_t> left_key_counts;
-  for (EntityId l : left_entities) {
-    for (const std::string& key : EntityBlockingKeys(left, l)) {
-      ++left_key_counts[key];
-    }
-  }
-
-  const uint64_t effective_cap =
-      EffectiveBlockCap(stats_.total_possible, max_block_pairs);
-
-  std::unordered_set<PairKey> evaluated;
-  for (EntityId l : left_entities) {
-    for (const std::string& key : EntityBlockingKeys(left, l)) {
-      auto rit = right_blocks.find(key);
-      if (rit == right_blocks.end()) continue;
-      const uint64_t block_size =
-          static_cast<uint64_t>(left_key_counts[key]) * rit->second.size();
-      if (block_size > effective_cap) continue;  // Stop value.
-      for (EntityId r : rit->second) {
-        const PairKey pair = feedback::PackPair(l, r);
-        if (!evaluated.insert(pair).second) continue;
-        KeepIfNonEmpty(pair, ComputeFeatureSet(left, l, right, r, theta));
-      }
-    }
-  }
-  stats_.candidate_pairs = evaluated.size();
-  FinalizeFeatureIndex();
-  metrics.pairs_evaluated.Add(stats_.candidate_pairs);
-  metrics.pairs_kept.Add(stats_.kept_pairs);
 }
 
 const FeatureSet* LinkSpace::FeaturesOf(PairKey pair) const {

@@ -30,8 +30,9 @@ using feedback::PairKey;
 ///     via `max_block_pairs`.
 ///
 /// Blocking is served by a BlockingIndex (core/blocking.h) built once per
-/// right dataset and shared read-only across partitions, so P partitions no
-/// longer re-invert the right dataset P times.
+/// right dataset and shared read-only across partitions, so the right
+/// dataset is inverted once rather than once per partition. The spaces this
+/// build produces are pinned by golden digests (blocking_equivalence_test).
 ///
 /// Thread-compatible after Build(): all queries are const.
 class LinkSpace {
@@ -60,7 +61,8 @@ class LinkSpace {
   /// count map, evaluated-pair set, similarity-memo table) bump-allocate
   /// from it instead of the global allocator; the arena is scratch only —
   /// nothing in the finished LinkSpace points into it, so the caller frees
-  /// or resets it as soon as Build returns. The arena and non-arena paths
+  /// or resets it as soon as Build returns. PartitionedAlex passes a
+  /// per-partition arena; the single-shot wrapper below passes none. Both
   /// produce bit-identical spaces.
   void Build(const rdf::Dataset& left, const rdf::Dataset& right,
              const std::vector<rdf::EntityId>& left_entities, double theta,
@@ -74,14 +76,6 @@ class LinkSpace {
   void Build(const rdf::Dataset& left, const rdf::Dataset& right,
              const std::vector<rdf::EntityId>& left_entities, double theta,
              size_t max_block_pairs);
-
-  /// The pre-BlockingIndex implementation (string blocking keys, right
-  /// dataset re-inverted per call, values re-parsed per candidate pair).
-  /// Retained as the reference for the equivalence tests and as the
-  /// baseline the build-phase benchmarks measure speedups against.
-  void BuildLegacy(const rdf::Dataset& left, const rdf::Dataset& right,
-                   const std::vector<rdf::EntityId>& left_entities,
-                   double theta, size_t max_block_pairs);
 
   bool Contains(PairKey pair) const { return index_.count(pair) > 0; }
 

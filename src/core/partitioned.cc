@@ -74,15 +74,6 @@ std::vector<double> PartitionedAlex::Build() {
   const size_t n = spaces_.size();
   std::vector<double> seconds(n, 0.0);
   shared_index_seconds_ = 0.0;
-  if (!config_.shared_blocking_index) {
-    ParallelFor(pool(), n, [this, &metrics, &seconds](size_t p) {
-      obs::ScopedTimer timer(metrics.partition_build_seconds, &seconds[p]);
-      spaces_[p]->BuildLegacy(*left_, *right_, partition_entities_[p],
-                              config_.theta, config_.max_block_pairs);
-    });
-    return seconds;
-  }
-
   // Phase 1: shared read-only build resources, constructed once per dataset
   // pair. The four pieces are independent, so they build concurrently.
   std::unique_ptr<BlockingIndex> right_index;
@@ -111,14 +102,11 @@ std::vector<double> PartitionedAlex::Build() {
   // soon as its build finishes, since the LinkSpace keeps nothing in it.
   const BuildResources res{right_index.get(), left_keys.get(),
                            left_values.get(), right_values.get()};
-  const bool use_arena = config_.arena_build_alloc;
-  ParallelFor(pool(), n,
-              [this, &metrics, &seconds, &res, use_arena](size_t p) {
+  ParallelFor(pool(), n, [this, &metrics, &seconds, &res](size_t p) {
     obs::ScopedTimer timer(metrics.partition_build_seconds, &seconds[p]);
-    std::unique_ptr<exec::ArenaAllocator> arena;
-    if (use_arena) arena = std::make_unique<exec::ArenaAllocator>();
+    exec::ArenaAllocator arena;
     spaces_[p]->Build(*left_, *right_, partition_entities_[p], config_.theta,
-                      config_.max_block_pairs, res, arena.get());
+                      config_.max_block_pairs, res, &arena);
   });
   return seconds;
 }

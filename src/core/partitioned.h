@@ -22,18 +22,17 @@ class PartitionedAlex {
   PartitionedAlex(const rdf::Dataset* left, const rdf::Dataset* right,
                   const AlexConfig& config);
 
-  /// Builds every partition's link space (the preprocessing step).
-  /// With `config.shared_blocking_index` (the default), first constructs
-  /// the shared right-dataset BlockingIndex and the per-dataset term-key /
-  /// value caches once, then builds all partitions against them in
-  /// parallel; otherwise each partition runs the legacy self-contained
-  /// build. Returns per-partition build seconds (Section 7.3 reports the
-  /// slowest); the shared-resource construction time is reported
-  /// separately via shared_index_seconds().
+  /// Builds every partition's link space (the preprocessing step). First
+  /// constructs the shared right-dataset BlockingIndex and the per-dataset
+  /// term-key / value caches once, then builds all partitions against them
+  /// in parallel, each with its build temporaries in a per-partition arena.
+  /// Returns per-partition build seconds (Section 7.3 reports the slowest);
+  /// the shared-resource construction time is reported separately via
+  /// shared_index_seconds().
   std::vector<double> Build();
 
   /// Wall seconds spent building the shared blocking index and caches in
-  /// the last Build() call (0 before Build or in legacy mode).
+  /// the last Build() call (0 before Build).
   double shared_index_seconds() const { return shared_index_seconds_; }
 
   /// Seeds candidates from an automatic linker's output.

@@ -48,12 +48,15 @@ struct FederatedResult {
 
 /// Minimal federated query processor in the FedX mold (paper Section 3.2).
 ///
-/// Execution: triple patterns are ordered greedily by boundness, then
-/// evaluated with bound (nested) joins. Each pattern is routed to every
-/// endpoint that can answer it (predicate-based source selection). When a
-/// bound join variable holds an entity IRI, its owl:sameAs co-referents are
-/// substituted too, so answers can span datasets; every link crossed this
-/// way is recorded in the row's provenance.
+/// Execution: every query runs as a CompiledQuery plan (dense variable
+/// slots, per-slot filters, DISTINCT keyed on id tuples); ExecuteText
+/// memoizes plans per query text. Triple patterns are ordered greedily by
+/// boundness, then evaluated with bound (nested) joins. Each pattern is
+/// routed to every endpoint that can answer it (predicate-based source
+/// selection). When a bound join variable holds an entity IRI, its
+/// owl:sameAs co-referents are substituted too, so answers can span
+/// datasets; every link crossed this way is recorded in the row's
+/// provenance.
 ///
 /// Fault tolerance: endpoints are reached only through QueryEndpoint::Probe,
 /// so faults, retries, and circuit breaking live in the endpoint stack (see
@@ -62,22 +65,8 @@ struct FederatedResult {
 /// recorded, rows from surviving endpoints still flow — instead of failing
 /// it. With plain in-process Endpoints nothing can fail and results are
 /// identical to the pre-fault-tolerance engine, bit for bit.
-///
-/// Execution paths: the default path compiles queries into CompiledQuery
-/// plans (dense variable slots, per-slot filters, id-level sameAs
-/// expansion, DISTINCT keyed on id tuples) and memoizes them per query
-/// text. The pre-compilation string path (unordered_map frames, N-Triples
-/// DISTINCT keys, per-call re-planning) stays selectable as the equivalence
-/// reference: both paths issue the identical probe sequence and produce
-/// bit-identical results, which the federation test suite asserts under
-/// healthy and fault-injected stacks alike.
 class FederatedEngine {
  public:
-  enum class ExecutionMode {
-    kCompiled,       // Compile-then-execute (default).
-    kLegacyStrings,  // Pre-compilation reference path.
-  };
-
   /// Exactly two endpoints (the paper links dataset pairs); `links` maps
   /// entities of endpoints[0] to entities of endpoints[1]. Pointers are
   /// borrowed and must outlive the engine.
@@ -90,21 +79,15 @@ class FederatedEngine {
   /// stack uses so injected latency counts against the deadline.
   void SetQueryDeadline(const Clock* clock, double deadline_seconds);
 
-  /// Selects the execution path for Execute/ExecuteText. The legacy path is
-  /// the equivalence baseline; production traffic runs compiled.
-  void set_execution_mode(ExecutionMode mode) { mode_ = mode; }
-  ExecutionMode execution_mode() const { return mode_; }
-
-  /// Executes a parsed SELECT query across the federation (compiling it
-  /// first in compiled mode).
+  /// Compiles a parsed SELECT query and executes it across the federation.
   Result<FederatedResult> Execute(const sparql::SelectQuery& query) const;
 
-  /// Executes a pre-compiled plan (always the compiled path, regardless of
-  /// mode). The plan may be shared across engines and threads.
+  /// Executes a pre-compiled plan. The plan may be shared across engines and
+  /// threads.
   Result<FederatedResult> Execute(const CompiledQuery& plan) const;
 
-  /// Parses and executes. In compiled mode the plan is memoized per query
-  /// text (fed.plan_cache_hits), so repeated traffic parses and plans once.
+  /// Parses and executes, memoizing the plan per query text
+  /// (fed.plan_cache_hits).
   Result<FederatedResult> ExecuteText(std::string_view query_text) const;
 
  private:
@@ -116,7 +99,6 @@ class FederatedEngine {
   const LinkIndex* links_;
   const Clock* clock_ = nullptr;
   double deadline_seconds_ = kNoTimeout;
-  ExecutionMode mode_ = ExecutionMode::kCompiled;
   mutable PlanCache plan_cache_;
 };
 

@@ -1,14 +1,10 @@
 #include "federation/link_index.h"
 
 #include <algorithm>
+#include <tuple>
 
 namespace alex::fed {
 namespace {
-
-const std::vector<std::string>& EmptyVec() {
-  static const auto* kEmpty = new std::vector<std::string>();
-  return *kEmpty;
-}
 
 const std::vector<LinkIndex::IriId>& EmptyIdVec() {
   static const auto* kEmpty = new std::vector<LinkIndex::IriId>();
@@ -36,8 +32,6 @@ LinkIndex::IriId LinkIndex::InternIri(const std::string& iri) {
 
 bool LinkIndex::Add(const std::string& left_iri, const std::string& right_iri) {
   if (Contains(left_iri, right_iri)) return false;
-  left_to_right_[left_iri].push_back(right_iri);
-  right_to_left_[right_iri].push_back(left_iri);
   const IriId lid = InternIri(left_iri);
   const IriId rid = InternIri(right_iri);
   left_ids_[lid].push_back(rid);
@@ -49,27 +43,16 @@ bool LinkIndex::Add(const std::string& left_iri, const std::string& right_iri) {
 
 bool LinkIndex::Remove(const std::string& left_iri,
                        const std::string& right_iri) {
-  auto it = left_to_right_.find(left_iri);
-  if (it == left_to_right_.end()) return false;
-  if (!EraseValue(&it->second, right_iri)) return false;
-  if (it->second.empty()) left_to_right_.erase(it);
-  auto rit = right_to_left_.find(right_iri);
-  if (rit != right_to_left_.end()) {
-    EraseValue(&rit->second, left_iri);
-    if (rit->second.empty()) right_to_left_.erase(rit);
-  }
-  // Mirror in the id view (ids themselves are never retired).
+  // Ids themselves are never retired.
   const IriId lid = IdOf(left_iri);
   const IriId rid = IdOf(right_iri);
   auto lit = left_ids_.find(lid);
-  if (lit != left_ids_.end()) {
-    EraseValue(&lit->second, rid);
-    if (lit->second.empty()) left_ids_.erase(lit);
-  }
-  auto ridit = right_ids_.find(rid);
-  if (ridit != right_ids_.end()) {
-    EraseValue(&ridit->second, lid);
-    if (ridit->second.empty()) right_ids_.erase(ridit);
+  if (lit == left_ids_.end() || !EraseValue(&lit->second, rid)) return false;
+  if (lit->second.empty()) left_ids_.erase(lit);
+  auto rit = right_ids_.find(rid);
+  if (rit != right_ids_.end()) {
+    EraseValue(&rit->second, lid);
+    if (rit->second.empty()) right_ids_.erase(rit);
   }
   --size_;
   ++epoch_;
@@ -78,22 +61,10 @@ bool LinkIndex::Remove(const std::string& left_iri,
 
 bool LinkIndex::Contains(const std::string& left_iri,
                          const std::string& right_iri) const {
-  auto it = left_to_right_.find(left_iri);
-  if (it == left_to_right_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), right_iri) !=
-         it->second.end();
-}
-
-const std::vector<std::string>& LinkIndex::RightsFor(
-    const std::string& left_iri) const {
-  auto it = left_to_right_.find(left_iri);
-  return it == left_to_right_.end() ? EmptyVec() : it->second;
-}
-
-const std::vector<std::string>& LinkIndex::LeftsFor(
-    const std::string& right_iri) const {
-  auto it = right_to_left_.find(right_iri);
-  return it == right_to_left_.end() ? EmptyVec() : it->second;
+  const std::vector<IriId>& rights = RightIdsFor(IdOf(left_iri));
+  const IriId rid = IdOf(right_iri);
+  return rid != kInvalidIriId &&
+         std::find(rights.begin(), rights.end(), rid) != rights.end();
 }
 
 LinkIndex::IriId LinkIndex::IdOf(const std::string& iri) const {
@@ -195,23 +166,6 @@ Status LinkIndex::LoadState(BinaryReader* r) {
         "link index: edge counts disagree with recorded size");
   }
 
-  // Rebuild the string views from the id views so the two stay mirrored.
-  std::unordered_map<std::string, std::vector<std::string>> l2r, r2l;
-  l2r.reserve(left_ids.size());
-  r2l.reserve(right_ids.size());
-  for (const auto& [lid, rights] : left_ids) {
-    std::vector<std::string>& out = l2r[terms[lid].value];
-    out.reserve(rights.size());
-    for (IriId rid : rights) out.push_back(terms[rid].value);
-  }
-  for (const auto& [rid, lefts] : right_ids) {
-    std::vector<std::string>& out = r2l[terms[rid].value];
-    out.reserve(lefts.size());
-    for (IriId lid : lefts) out.push_back(terms[lid].value);
-  }
-
-  left_to_right_ = std::move(l2r);
-  right_to_left_ = std::move(r2l);
   iri_ids_ = std::move(ids);
   iri_terms_ = std::move(terms);
   left_ids_ = std::move(left_ids);
@@ -224,10 +178,8 @@ Status LinkIndex::LoadState(BinaryReader* r) {
 std::vector<SameAsLink> LinkIndex::AllLinks() const {
   std::vector<SameAsLink> out;
   out.reserve(size_);
-  for (const auto& [left, rights] : left_to_right_) {
-    for (const std::string& right : rights) {
-      out.push_back(SameAsLink{left, right});
-    }
+  for (const auto& [lid, rights] : left_ids_) {
+    for (IriId rid : rights) out.push_back(SameAsLink{IriOf(lid), IriOf(rid)});
   }
   std::sort(out.begin(), out.end(),
             [](const SameAsLink& a, const SameAsLink& b) {

@@ -30,15 +30,10 @@ struct SameAsLink {
 /// answer cross-dataset queries, and ALEX mutates it as feedback arrives
 /// (adding explored links, removing rejected ones).
 ///
-/// Two views coexist:
-///  - the string view (`RightsFor`/`LeftsFor`), kept for the legacy
-///    execution path and external callers;
-///  - an interned id view: every IRI that ever appeared in a link gets a
-///    dense IriId with a stable `rdf::Term` behind it, and adjacency is
-///    id -> id. The compiled execution path expands sameAs co-referents
-///    through this view, so the innermost join loop allocates no strings.
-/// Both views are mutated together and enumerate co-referents in identical
-/// (insertion) order, which keeps the two execution paths bit-identical.
+/// Every IRI that ever appeared in a link gets a dense IriId with a stable
+/// `rdf::Term` behind it, and adjacency is id -> id, with co-referents in
+/// insertion order. The federated engine expands sameAs co-referents
+/// through this view, so the innermost join loop allocates no strings.
 ///
 /// `epoch()` increments on every successful Add/Remove — the invalidation
 /// signal probe caches watch (see fed::CachingEndpoint) so link mutations
@@ -61,12 +56,6 @@ class LinkIndex {
   bool Contains(const std::string& left_iri,
                 const std::string& right_iri) const;
 
-  /// Right-side co-referents of a left entity (empty vector if none).
-  const std::vector<std::string>& RightsFor(const std::string& left_iri) const;
-
-  /// Left-side co-referents of a right entity (empty vector if none).
-  const std::vector<std::string>& LeftsFor(const std::string& right_iri) const;
-
   /// Id of an IRI seen in some link (past or present), or kInvalidIriId.
   IriId IdOf(const std::string& iri) const;
 
@@ -76,12 +65,12 @@ class LinkIndex {
   /// The interned IRI string.
   const std::string& IriOf(IriId id) const { return iri_terms_[id].value; }
 
-  /// Right-side co-referent ids of a left IRI id, in the same order as
-  /// RightsFor. Empty for unknown/unlinked ids.
+  /// Right-side co-referent ids of a left IRI id, in link insertion order.
+  /// Empty for unknown/unlinked ids.
   const std::vector<IriId>& RightIdsFor(IriId left) const;
 
-  /// Left-side co-referent ids of a right IRI id, in the same order as
-  /// LeftsFor. Empty for unknown/unlinked ids.
+  /// Left-side co-referent ids of a right IRI id, in link insertion order.
+  /// Empty for unknown/unlinked ids.
   const std::vector<IriId>& LeftIdsFor(IriId right) const;
 
   /// Mutation epoch: bumped by every successful Add/Remove. Caches keyed on
@@ -92,7 +81,7 @@ class LinkIndex {
   /// Total number of links.
   size_t size() const { return size_; }
 
-  /// Snapshot of all links.
+  /// Snapshot of all links, sorted by (left IRI, right IRI).
   std::vector<SameAsLink> AllLinks() const;
 
   /// Serializes the whole index — interned IRI table (in id order), both
@@ -110,10 +99,7 @@ class LinkIndex {
  private:
   IriId InternIri(const std::string& iri);
 
-  std::unordered_map<std::string, std::vector<std::string>> left_to_right_;
-  std::unordered_map<std::string, std::vector<std::string>> right_to_left_;
-
-  // Id view. iri_terms_ is a deque so TermOf references survive interning.
+  // iri_terms_ is a deque so TermOf references survive interning.
   std::unordered_map<std::string, IriId> iri_ids_;
   std::deque<rdf::Term> iri_terms_;
   std::unordered_map<IriId, std::vector<IriId>> left_ids_;

@@ -1,5 +1,7 @@
 #include "sparql/parser.h"
 
+#include <charconv>
+#include <system_error>
 #include <unordered_map>
 
 #include "rdf/term.h"
@@ -308,7 +310,18 @@ Result<SelectQuery> Parser::Parse() {
     if (Peek().kind != TokenKind::kNumber) {
       return Fail("expected number after LIMIT");
     }
-    query.limit = static_cast<size_t>(std::stoull(Advance().text));
+    // Only plain unsigned decimal digits that fit a size_t: no sign, no
+    // fraction, no overflow.
+    const Token& tok = Advance();
+    const char* const end = tok.text.data() + tok.text.size();
+    size_t limit = 0;
+    const auto [parsed_end, ec] = std::from_chars(tok.text.data(), end, limit);
+    if (ec != std::errc() || parsed_end != end) {
+      return Status::ParseError(
+          "LIMIT must be an unsigned 64-bit integer, got '" + tok.text +
+          "' at offset " + std::to_string(tok.offset));
+    }
+    query.limit = limit;
   }
   if (!AtEnd()) return Fail("trailing tokens after query");
   if (query.where.empty() && query.union_branches.empty()) {

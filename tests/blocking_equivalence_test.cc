@@ -1,11 +1,26 @@
-// Equivalence guarantee of the shared-BlockingIndex build (core/blocking.h):
-// the optimization must change no observable behaviour. For every partition
-// split, the optimized LinkSpace::Build and the legacy per-partition
-// BuildLegacy must agree on the kept-pair set, every build stat, and every
-// pair's exact feature set (keys and double scores) — on scenarios from the
-// synthetic generator, not just toy fixtures.
+// Golden pins for the shared-BlockingIndex LinkSpace build (core/blocking.h).
+// Every space built here — per scenario and per partition split — must match
+// a recorded golden: the four BuildStats fields plus one FNV-64 over the
+// sorted pair keys and, per pair, its feature count, feature keys and exact
+// score bits. Scenarios come from the synthetic generator, not toy fixtures.
+//
+// Capture recipe: the goldens were recorded at commit abaa800 by running
+// these exact scenarios through the pre-BlockingIndex reference build
+// (LinkSpace's legacy build: string blocking keys, right dataset
+// re-inverted per partition; PartitionedAlex with that build selected),
+// with the shared-resource build checked equal at capture time. The
+// reference build is gone, so the goldens cannot be regenerated from
+// current sources, only re-verified.
+//
+// Live checks ride along: every kept pair's feature set must equal the
+// uncached ComputeFeatureSet, so a ValueCache bug cannot hide behind a
+// matching golden, and the per-feature index must agree with the sets.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,18 +32,42 @@
 namespace alex::core {
 namespace {
 
+struct SpaceGolden {
+  uint64_t total_possible;
+  uint64_t candidate_pairs;
+  uint64_t kept_pairs;
+  uint64_t features_indexed;
+  uint64_t digest;
+};
+
+uint64_t Mix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 std::vector<PairKey> SortedPairs(const LinkSpace& space) {
   std::vector<PairKey> pairs = space.pairs();
   std::sort(pairs.begin(), pairs.end());
   return pairs;
 }
 
-void ExpectStatsEqual(const LinkSpace::BuildStats& a,
-                      const LinkSpace::BuildStats& b) {
-  EXPECT_EQ(a.total_possible, b.total_possible);
-  EXPECT_EQ(a.candidate_pairs, b.candidate_pairs);
-  EXPECT_EQ(a.kept_pairs, b.kept_pairs);
-  EXPECT_EQ(a.features_indexed, b.features_indexed);
+uint64_t DigestSpace(const LinkSpace& space) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (PairKey pair : SortedPairs(space)) {
+    h = Mix(h, pair);
+    const FeatureSet* fs = space.FeaturesOf(pair);
+    h = Mix(h, fs->size());
+    for (const FeatureValue& f : *fs) {
+      uint64_t bits;
+      static_assert(sizeof(bits) == sizeof(f.score));
+      std::memcpy(&bits, &f.score, sizeof(bits));
+      h = Mix(Mix(h, f.key), bits);
+    }
+  }
+  return h;
 }
 
 void ExpectFeatureSetsEqual(const FeatureSet& a, const FeatureSet& b) {
@@ -41,44 +80,42 @@ void ExpectFeatureSetsEqual(const FeatureSet& a, const FeatureSet& b) {
   }
 }
 
-/// Builds the same partition with the optimized and legacy paths and
-/// asserts the results are indistinguishable.
-void ExpectEquivalentBuilds(const datagen::GeneratedPair& pair,
-                            const std::vector<rdf::EntityId>& lefts,
-                            const BuildResources& res, double theta,
-                            size_t max_block_pairs) {
-  LinkSpace optimized;
-  optimized.Build(pair.left, pair.right, lefts, theta, max_block_pairs, res);
-  LinkSpace legacy;
-  legacy.BuildLegacy(pair.left, pair.right, lefts, theta, max_block_pairs);
+/// Checks `space` against its golden, against the uncached feature
+/// computation, and for internal consistency of the per-feature index.
+void ExpectSpaceMatches(const datagen::GeneratedPair& pair,
+                        const LinkSpace& space, double theta,
+                        const SpaceGolden& golden, const std::string& where) {
+  SCOPED_TRACE(where);
+  const LinkSpace::BuildStats& stats = space.stats();
+  EXPECT_EQ(stats.total_possible, golden.total_possible);
+  EXPECT_EQ(stats.candidate_pairs, golden.candidate_pairs);
+  EXPECT_EQ(stats.kept_pairs, golden.kept_pairs);
+  EXPECT_EQ(stats.features_indexed, golden.features_indexed);
+  EXPECT_EQ(DigestSpace(space), golden.digest);
 
-  ExpectStatsEqual(optimized.stats(), legacy.stats());
-  const std::vector<PairKey> pairs = SortedPairs(optimized);
-  ASSERT_EQ(pairs, SortedPairs(legacy));
-  EXPECT_EQ(optimized.num_features(), legacy.num_features());
-  EXPECT_EQ(optimized.MaxFeatureCount(), legacy.MaxFeatureCount());
-
-  for (PairKey key : pairs) {
-    const FeatureSet* fs_opt = optimized.FeaturesOf(key);
-    const FeatureSet* fs_leg = legacy.FeaturesOf(key);
-    ASSERT_NE(fs_opt, nullptr);
-    ASSERT_NE(fs_leg, nullptr);
-    ExpectFeatureSetsEqual(*fs_opt, *fs_leg);
-    // Also pin both against the uncached direct computation, so a
-    // ValueCache bug cannot hide behind a matching legacy-path bug.
-    const FeatureSet direct = ComputeFeatureSet(
-        pair.left, feedback::PairLeft(key), pair.right,
-        feedback::PairRight(key), theta);
-    ExpectFeatureSetsEqual(*fs_opt, direct);
-    // Per-feature index sizes agree for every feature this pair carries.
-    for (const FeatureValue& f : *fs_opt) {
-      EXPECT_EQ(optimized.FeatureCount(f.key), legacy.FeatureCount(f.key));
-    }
+  std::unordered_map<FeatureKey, size_t> feature_counts;
+  for (PairKey key : space.pairs()) {
+    const FeatureSet* fs = space.FeaturesOf(key);
+    ASSERT_NE(fs, nullptr);
+    const FeatureSet direct =
+        ComputeFeatureSet(pair.left, feedback::PairLeft(key), pair.right,
+                          feedback::PairRight(key), theta);
+    ExpectFeatureSetsEqual(*fs, direct);
+    for (const FeatureValue& f : *fs) ++feature_counts[f.key];
   }
+  EXPECT_EQ(space.num_features(), feature_counts.size());
+  size_t max_count = 0;
+  for (const auto& [key, count] : feature_counts) {
+    EXPECT_EQ(space.FeatureCount(key), count);
+    max_count = std::max(max_count, count);
+  }
+  EXPECT_EQ(space.MaxFeatureCount(), max_count);
 }
 
-void RunScenarioEquivalence(const datagen::ScenarioConfig& config,
-                            size_t max_block_pairs) {
+/// Builds every partition of a 1-way and a 3-way round-robin split against
+/// shared build resources; `goldens` lists the 1 + 3 spaces in that order.
+void RunScenario(const datagen::ScenarioConfig& config, size_t max_block_pairs,
+                 const SpaceGolden (&goldens)[4]) {
   const datagen::GeneratedPair pair = datagen::GenerateScenario(config);
   const BlockingIndex right_index(pair.right);
   const TermKeyCache left_keys(pair.left);
@@ -87,13 +124,18 @@ void RunScenarioEquivalence(const datagen::ScenarioConfig& config,
   const BuildResources res{&right_index, &left_keys, &left_values,
                            &right_values};
 
+  size_t next = 0;
   for (size_t partitions : {size_t{1}, size_t{3}}) {
     std::vector<std::vector<rdf::EntityId>> splits(partitions);
     for (rdf::EntityId e = 0; e < pair.left.num_entities(); ++e) {
       splits[e % partitions].push_back(e);
     }
-    for (const auto& lefts : splits) {
-      ExpectEquivalentBuilds(pair, lefts, res, 0.3, max_block_pairs);
+    for (size_t p = 0; p < partitions; ++p) {
+      LinkSpace space;
+      space.Build(pair.left, pair.right, splits[p], 0.3, max_block_pairs, res);
+      ExpectSpaceMatches(pair, space, 0.3, goldens[next++],
+                         config.name + " split " + std::to_string(partitions) +
+                             " partition " + std::to_string(p));
     }
   }
 }
@@ -110,13 +152,19 @@ TEST(BlockingEquivalenceTest, NoisyPersonScenario) {
   config.domains = {"person"};
   config.value_noise = 0.6;
   config.predicate_rename_prob = 0.4;
-  RunScenarioEquivalence(config, 20000);
+  constexpr SpaceGolden kGoldens[4] = {
+      {13000u, 3238u, 1492u, 2008u, 0x22c4ac83c5824487ull},
+      {4400u, 1062u, 487u, 661u, 0xee7b9e1293341dcbull},
+      {4300u, 1046u, 487u, 639u, 0xc9d538c528c247dbull},
+      {4300u, 1130u, 518u, 708u, 0x7bf9825e0269ade7ull},
+  };
+  RunScenario(config, 20000, kGoldens);
 }
 
 TEST(BlockingEquivalenceTest, AmbiguousMultiDomainScenarioWithTightCap) {
   // Decoys create big shared-name blocks and the tight cap forces the
-  // stop-value skip logic to fire, which is where a divergence between the
-  // per-partition left counts of the two paths would show up.
+  // stop-value skip logic to fire, which is where a wrong per-partition
+  // left-key count would show up.
   datagen::ScenarioConfig config;
   config.name = "equiv_ambiguous";
   config.seed = 2718;
@@ -126,10 +174,16 @@ TEST(BlockingEquivalenceTest, AmbiguousMultiDomainScenarioWithTightCap) {
   config.domains = {"person", "organization", "drug"};
   config.value_noise = 0.3;
   config.ambiguity = 0.8;
-  RunScenarioEquivalence(config, 150);
+  constexpr SpaceGolden kGoldens[4] = {
+      {10440u, 1312u, 480u, 733u, 0xaf7ac96cb5c7c1d3ull},
+      {3480u, 784u, 226u, 329u, 0x51f2eb2392b21040ull},
+      {3480u, 617u, 150u, 222u, 0xd27454c77c264e39ull},
+      {3480u, 760u, 173u, 253u, 0x6d92a5a7bf01a114ull},
+  };
+  RunScenario(config, 150, kGoldens);
 }
 
-TEST(BlockingEquivalenceTest, SingleShotWrapperMatchesLegacy) {
+TEST(BlockingEquivalenceTest, SingleShotWrapperMatchesGolden) {
   datagen::ScenarioConfig config;
   config.seed = 99;
   config.num_shared = 40;
@@ -144,13 +198,12 @@ TEST(BlockingEquivalenceTest, SingleShotWrapperMatchesLegacy) {
   }
   LinkSpace wrapped;
   wrapped.Build(pair.left, pair.right, lefts, 0.3, 20000);
-  LinkSpace legacy;
-  legacy.BuildLegacy(pair.left, pair.right, lefts, 0.3, 20000);
-  ExpectStatsEqual(wrapped.stats(), legacy.stats());
-  EXPECT_EQ(SortedPairs(wrapped), SortedPairs(legacy));
+  ExpectSpaceMatches(pair, wrapped, 0.3,
+                     {4200u, 228u, 190u, 300u, 0x847216b88b00bc58ull},
+                     "single-shot wrapper");
 }
 
-TEST(BlockingEquivalenceTest, PartitionedBuildMatchesLegacyMode) {
+TEST(BlockingEquivalenceTest, PartitionedBuildMatchesGoldens) {
   datagen::ScenarioConfig scenario;
   scenario.seed = 4242;
   scenario.num_shared = 60;
@@ -163,20 +216,20 @@ TEST(BlockingEquivalenceTest, PartitionedBuildMatchesLegacyMode) {
   AlexConfig config;
   config.num_partitions = 4;
   config.num_threads = 2;
+  PartitionedAlex alex(&pair.left, &pair.right, config);
+  alex.Build();
+  EXPECT_GT(alex.shared_index_seconds(), 0.0);
 
-  PartitionedAlex shared(&pair.left, &pair.right, config);
-  shared.Build();
-  EXPECT_GT(shared.shared_index_seconds(), 0.0);
-
-  config.shared_blocking_index = false;
-  PartitionedAlex legacy(&pair.left, &pair.right, config);
-  legacy.Build();
-  EXPECT_EQ(legacy.shared_index_seconds(), 0.0);
-
-  for (size_t p = 0; p < shared.num_partitions(); ++p) {
-    EXPECT_EQ(SortedPairs(shared.space(p)), SortedPairs(legacy.space(p)));
-    ExpectStatsEqual(shared.space(p).stats(), legacy.space(p).stats());
-    EXPECT_EQ(shared.space(p).num_features(), legacy.space(p).num_features());
+  constexpr SpaceGolden kGoldens[4] = {
+      {2380u, 591u, 222u, 297u, 0x4882eeae6900b8f6ull},
+      {2380u, 497u, 172u, 220u, 0xadaaea4a18690c77ull},
+      {2295u, 526u, 203u, 277u, 0x6e0676a4ff4e92e7ull},
+      {2295u, 501u, 180u, 219u, 0x27fbea4dcf3411caull},
+  };
+  ASSERT_EQ(alex.num_partitions(), 4u);
+  for (size_t p = 0; p < alex.num_partitions(); ++p) {
+    ExpectSpaceMatches(pair, alex.space(p), config.theta, kGoldens[p],
+                       "partition " + std::to_string(p));
   }
 }
 

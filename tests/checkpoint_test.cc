@@ -583,9 +583,15 @@ TEST(LinkIndexCheckpointTest, RoundTripPreservesIdsOrderAndEpoch) {
   // Interned ids and co-referent enumeration order survive.
   EXPECT_EQ(restored.IdOf("http://l/a"), index.IdOf("http://l/a"));
   EXPECT_EQ(restored.IdOf("http://l/b"), index.IdOf("http://l/b"));
-  EXPECT_EQ(restored.RightsFor("http://l/a"), index.RightsFor("http://l/a"));
-  EXPECT_EQ(restored.RightIdsFor(index.IdOf("http://l/a")),
-            index.RightIdsFor(index.IdOf("http://l/a")));
+  const std::vector<fed::LinkIndex::IriId>& rights =
+      restored.RightIdsFor(restored.IdOf("http://l/a"));
+  EXPECT_EQ(rights, index.RightIdsFor(index.IdOf("http://l/a")));
+  std::vector<std::string> right_iris;
+  for (fed::LinkIndex::IriId id : rights) {
+    right_iris.push_back(restored.IriOf(id));
+  }
+  EXPECT_EQ(right_iris,
+            (std::vector<std::string>{"http://r/x", "http://r/y"}));
 
   // A restored index serializes to the same bytes.
   BinaryWriter w2;

@@ -1,10 +1,19 @@
-// Tests for the compiled federated query path: CompiledQuery compilation
-// (validation parity with the legacy string path), the PlanCache memo, and
-// — the load-bearing invariant — bit-identical results between the compiled
-// and legacy execution modes across query shapes, including a randomized
-// fuzz sweep over generated datasets and query texts.
+// Tests for federated query execution: CompiledQuery compilation, the
+// PlanCache memo, agreement of the three entry points (ExecuteText,
+// Execute(SelectQuery), Execute(CompiledQuery)), and — the load-bearing
+// invariant — results pinned bit for bit by golden digests across query
+// shapes, including a randomized fuzz sweep over generated datasets and
+// query texts.
+//
+// Capture recipe: each golden is the FNV-64 of Digest() below. They were
+// recorded at commit abaa800 by running these exact queries through the
+// pre-compilation string executor (FederatedEngine's legacy
+// execution mode), with the compiled path checked equal at capture time.
+// That executor is gone, so the goldens cannot be regenerated from current
+// sources, only re-verified.
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,6 +58,14 @@ std::string Digest(const Result<FederatedResult>& r) {
   return d;
 }
 
+uint64_t Fnv64(const std::string& s, uint64_t h = 0xcbf29ce484222325ULL) {
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 std::string kSpanning() {
   return "SELECT ?p ?o WHERE { <http://l/acme> ?p ?o . }";
 }
@@ -76,17 +93,13 @@ class FederatedPlanTest : public ::testing::Test {
                                                 right_ep_.get(), &links_);
   }
 
-  /// Executes `query` in both modes and expects identical digests; returns
-  /// the compiled-mode result.
-  Result<FederatedResult> ExpectModesAgree(const std::string& query) {
-    engine_->set_execution_mode(FederatedEngine::ExecutionMode::kCompiled);
-    Result<FederatedResult> compiled = engine_->ExecuteText(query);
-    engine_->set_execution_mode(
-        FederatedEngine::ExecutionMode::kLegacyStrings);
-    Result<FederatedResult> legacy = engine_->ExecuteText(query);
-    engine_->set_execution_mode(FederatedEngine::ExecutionMode::kCompiled);
-    EXPECT_EQ(Digest(compiled), Digest(legacy)) << query;
-    return compiled;
+  /// Executes `query` and expects its digest to match `golden`.
+  Result<FederatedResult> ExpectGolden(const std::string& query,
+                                       uint64_t golden) {
+    Result<FederatedResult> r = engine_->ExecuteText(query);
+    const std::string digest = Digest(r);
+    EXPECT_EQ(Fnv64(digest), golden) << query << "\n  digest: " << digest;
+    return r;
   }
 
   rdf::Dataset left_{"hr"};
@@ -97,9 +110,7 @@ class FederatedPlanTest : public ::testing::Test {
   std::unique_ptr<FederatedEngine> engine_;
 };
 
-TEST_F(FederatedPlanTest, CompileRejectsWhatLegacyRejects) {
-  // Same InvalidArgument messages as the legacy path, so callers switching
-  // modes see no behavior change even on bad input.
+TEST_F(FederatedPlanTest, CompileRejectsUnsupportedQueries) {
   auto unsupported = CompiledQuery::CompileText(
       "SELECT ?x WHERE { ?x <http://l/p> ?y . "
       "OPTIONAL { ?x <http://l/q> ?z . } }");
@@ -130,8 +141,8 @@ TEST_F(FederatedPlanTest, CompileResolvesSlotsAndFilters) {
   EXPECT_EQ(plan->projection_slots()[0], p.comp[2].slot);
 }
 
-TEST_F(FederatedPlanTest, InvalidOrderByFailsAfterExecutionInBothModes) {
-  // Legacy reports a bad ORDER BY variable only after enumeration, so it is
+TEST_F(FederatedPlanTest, InvalidOrderByFailsAfterExecution) {
+  // A bad ORDER BY variable is reported only after enumeration, so it is
   // deliberately not a compile error.
   const std::string query =
       "SELECT ?v WHERE { <http://l/acme> <http://l/name> ?v . } "
@@ -140,43 +151,85 @@ TEST_F(FederatedPlanTest, InvalidOrderByFailsAfterExecutionInBothModes) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_TRUE(plan->has_order_by());
   EXPECT_FALSE(plan->order_by_valid());
-  auto r = ExpectModesAgree(query);
+  auto r = ExpectGolden(query, 0xbe3c4f960748186cull);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().message(), "ORDER BY variable ?nope not in the result");
 }
 
-TEST_F(FederatedPlanTest, CuratedQueriesMatchLegacyBitForBit) {
-  const std::vector<std::string> queries = {
-      // Spanning query: needs the sameAs link for the right-side rows.
-      "SELECT ?p ?o WHERE { <http://l/acme> ?p ?o . }",
-      // Join through a bound variable.
-      "SELECT ?who ?label WHERE { ?who <http://l/worksFor> ?org . "
-      "?org <http://r/label> ?label . }",
-      // DISTINCT collapsing the two employees.
-      "SELECT DISTINCT ?label WHERE { ?who <http://l/worksFor> ?org . "
-      "?org <http://r/label> ?label . }",
-      // FILTER on a join variable.
-      "SELECT ?who ?label WHERE { ?who <http://l/worksFor> ?org . "
-      "?org <http://r/label> ?label . FILTER(?label = \"ACME\") }",
-      // ORDER BY with LIMIT (limit applies after the sort).
-      "SELECT ?o WHERE { <http://l/acme> ?p ?o . } ORDER BY ?o LIMIT 2",
-      // LIMIT alone (stops enumeration early).
-      "SELECT ?p ?o WHERE { <http://l/acme> ?p ?o . } LIMIT 1",
-      // Repeated variable within one pattern.
-      "SELECT ?x WHERE { ?x <http://l/worksFor> ?x . }",
-      // Empty result.
-      "SELECT ?v WHERE { <http://l/nobody> <http://l/name> ?v . }",
-  };
-  for (const std::string& q : queries) {
-    auto r = ExpectModesAgree(q);
-    EXPECT_TRUE(r.ok()) << q << ": " << r.status();
+struct CuratedQuery {
+  const char* text;
+  uint64_t golden;
+};
+
+constexpr CuratedQuery kCurated[] = {
+    // Spanning query: needs the sameAs link for the right-side rows.
+    {"SELECT ?p ?o WHERE { <http://l/acme> ?p ?o . }", 0x95a875732225525eull},
+    // Join through a bound variable.
+    {"SELECT ?who ?label WHERE { ?who <http://l/worksFor> ?org . "
+     "?org <http://r/label> ?label . }",
+     0x41c408a54b88bacbull},
+    // DISTINCT collapsing the two employees.
+    {"SELECT DISTINCT ?label WHERE { ?who <http://l/worksFor> ?org . "
+     "?org <http://r/label> ?label . }",
+     0x9425302b499a7383ull},
+    // FILTER on a join variable.
+    {"SELECT ?who ?label WHERE { ?who <http://l/worksFor> ?org . "
+     "?org <http://r/label> ?label . FILTER(?label = \"ACME\") }",
+     0xdfe2fad2c6fa1b42ull},
+    // ORDER BY with LIMIT (limit applies after the sort).
+    {"SELECT ?o WHERE { <http://l/acme> ?p ?o . } ORDER BY ?o LIMIT 2",
+     0x3b8b0833e84ddf01ull},
+    // LIMIT alone (stops enumeration early).
+    {"SELECT ?p ?o WHERE { <http://l/acme> ?p ?o . } LIMIT 1",
+     0x07078ab2c0effbeaull},
+    // Repeated variable within one pattern.
+    {"SELECT ?x WHERE { ?x <http://l/worksFor> ?x . }", 0x8a3f0c011942d211ull},
+    // Empty result.
+    {"SELECT ?v WHERE { <http://l/nobody> <http://l/name> ?v . }",
+     0x01c52069ad2c46b3ull},
+};
+
+TEST_F(FederatedPlanTest, CuratedQueriesMatchGoldens) {
+  for (const CuratedQuery& q : kCurated) {
+    auto r = ExpectGolden(q.text, q.golden);
+    EXPECT_TRUE(r.ok()) << q.text << ": " << r.status();
   }
 }
 
-TEST_F(FederatedPlanTest, FuzzRandomQueriesMatchLegacy) {
-  // Randomized equivalence sweep: generated datasets, generated query
-  // texts (joins, filters, DISTINCT, LIMIT), both execution modes. Any
-  // digest mismatch is a real divergence between the paths.
+TEST_F(FederatedPlanTest, EntryPointsAgreeOnCuratedQueries) {
+  // ExecuteText (plan cache), Execute(SelectQuery) (compile per call) and
+  // Execute(CompiledQuery) must be indistinguishable to callers.
+  for (const CuratedQuery& q : kCurated) {
+    const std::string via_text = Digest(engine_->ExecuteText(q.text));
+    auto parsed = sparql::ParseQuery(q.text);
+    ASSERT_TRUE(parsed.ok()) << q.text << ": " << parsed.status();
+    const std::string via_ast = Digest(engine_->Execute(*parsed));
+    auto plan = CompiledQuery::CompileText(q.text);
+    ASSERT_TRUE(plan.ok()) << q.text << ": " << plan.status();
+    const std::string via_plan = Digest(engine_->Execute(*plan));
+    EXPECT_EQ(via_text, via_ast) << q.text;
+    EXPECT_EQ(via_text, via_plan) << q.text;
+  }
+}
+
+TEST_F(FederatedPlanTest, OutOfRangeLimitIsAParseError) {
+  // Query text is a trust boundary: a LIMIT that is not a plain unsigned
+  // 64-bit integer must come back as a Status, never abort the process.
+  for (const char* limit : {"99999999999999999999999", "-3", "2.9"}) {
+    const std::string query =
+        std::string("SELECT ?p ?o WHERE { <http://l/acme> ?p ?o . } LIMIT ") +
+        limit;
+    auto r = engine_->ExecuteText(query);
+    ASSERT_FALSE(r.ok()) << query;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << query;
+  }
+}
+
+TEST_F(FederatedPlanTest, FuzzRandomQueriesMatchGolden) {
+  // Randomized sweep: generated datasets and query texts (joins, filters,
+  // DISTINCT, LIMIT). One rolling digest over all iterations pins every
+  // result; on a mismatch the per-iteration log names each query with its
+  // own digest, so the divergent one can be found against a capture.
   Rng rng(20260806);
   rdf::Dataset left("fuzz-left");
   rdf::Dataset right("fuzz-right");
@@ -212,6 +265,8 @@ TEST_F(FederatedPlanTest, FuzzRandomQueriesMatchLegacy) {
   };
   const std::vector<std::string> vars = {"?a", "?b", "?c"};
 
+  uint64_t rolling = 0xcbf29ce484222325ULL;
+  std::string log;
   for (int iter = 0; iter < 60; ++iter) {
     const int num_patterns = 1 + static_cast<int>(rng.UniformInt(2));
     std::string where;
@@ -249,13 +304,12 @@ TEST_F(FederatedPlanTest, FuzzRandomQueriesMatchLegacy) {
       query += " LIMIT " + std::to_string(1 + rng.UniformInt(5));
     }
 
-    engine.set_execution_mode(FederatedEngine::ExecutionMode::kCompiled);
-    auto compiled = engine.ExecuteText(query);
-    engine.set_execution_mode(FederatedEngine::ExecutionMode::kLegacyStrings);
-    auto legacy = engine.ExecuteText(query);
-    EXPECT_EQ(Digest(compiled), Digest(legacy)) << "iter " << iter << ": "
-                                                << query;
+    const std::string digest = Digest(engine.ExecuteText(query));
+    rolling = Fnv64(digest, rolling);
+    log += "  iter " + std::to_string(iter) + " [" +
+           std::to_string(Fnv64(digest)) + "] " + query + "\n";
   }
+  EXPECT_EQ(rolling, 0x4c4c53014d40182bull) << log;
 }
 
 TEST_F(FederatedPlanTest, PlanCacheCompilesEachTextOnce) {

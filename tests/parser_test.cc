@@ -1,5 +1,7 @@
 #include "sparql/parser.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace alex::sparql {
@@ -188,6 +190,28 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(
       ParseQuery("SELECT ?s WHERE { ?s ?p ?o . FILTER(?a = ?b) }").ok());
   EXPECT_FALSE(ParseQuery("SELECT ?s WHERE { ?s ?p ?o . } LIMIT x").ok());
+}
+
+TEST(ParserTest, LimitAcceptsOnlyUnsigned64BitIntegers) {
+  auto max = ParseQuery(
+      "SELECT ?s WHERE { ?s ?p ?o . } LIMIT 18446744073709551615");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(*max->limit, 18446744073709551615ull);
+  auto zero = ParseQuery("SELECT ?s WHERE { ?s ?p ?o . } LIMIT 0");
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(*zero->limit, 0u);
+
+  // Out of range, signed and fractional literals are parse errors, never
+  // an abort or a wrapped value.
+  for (const char* bad : {"18446744073709551616", "99999999999999999999999",
+                          "-3", "+3", "2.9", "-0"}) {
+    auto r = ParseQuery(std::string("SELECT ?s WHERE { ?s ?p ?o . } LIMIT ") +
+                        bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << bad;
+    EXPECT_NE(r.status().message().find(bad), std::string::npos)
+        << r.status();
+  }
 }
 
 }  // namespace
