@@ -86,10 +86,8 @@ int main() {
 
     const obs::MetricsSnapshot before =
         obs::MetricsRegistry::Global().Snapshot();
-    fed::CachingEndpoint cached_left(&left, fed::ProbeCacheConfig(),
-                                     [&links] { return links.epoch(); });
-    fed::CachingEndpoint cached_right(&right, fed::ProbeCacheConfig(),
-                                      [&links] { return links.epoch(); });
+    fed::CachingEndpoint cached_left(&left);
+    fed::CachingEndpoint cached_right(&right);
     fed::FederatedEngine fast(&cached_left, &cached_right, &links);
     double fast_seconds = 1e300;
     simulation::WorkloadRunStats fast_stats;

@@ -28,8 +28,9 @@
 //   smoke=1 skips the expensive quality arms (ALEX training + PARIS) and is
 //   what CI runs reduced, e.g. `bench_federated_queries 30 2 1`.
 //   trace=1 adds a traced arm AFTER the timed perf arms (so spans never
-//   pollute the timing): one untraced + one runtime-traced pass over the
-//   workload, reporting the runtime overhead of enabled tracing, writing
+//   pollute the timing): alternating untraced and runtime-traced passes
+//   over the workload, reporting the median per-pair runtime overhead of
+//   enabled tracing with its quartiles, writing
 //   the span tree to bench_federated_queries.trace.json (via the sidecar)
 //   and the registry state to bench_federated_queries.prom (Prometheus
 //   text exposition). CI validates both artifacts.
@@ -108,6 +109,17 @@ std::string Digest(const Result<fed::FederatedResult>& r) {
   return d;
 }
 
+/// Linear-interpolated quantile `q` of `values`; 0 when empty.
+double Quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -180,12 +192,8 @@ int main(int argc, char** argv) {
   size_t mismatches = 0;
   {
     fed::FederatedEngine uncached(&left, &right, &truth_index);
-    fed::CachingEndpoint cached_left(
-        &left, fed::ProbeCacheConfig(),
-        [&truth_index] { return truth_index.epoch(); });
-    fed::CachingEndpoint cached_right(
-        &right, fed::ProbeCacheConfig(),
-        [&truth_index] { return truth_index.epoch(); });
+    fed::CachingEndpoint cached_left(&left);
+    fed::CachingEndpoint cached_right(&right);
     fed::FederatedEngine cached(&cached_left, &cached_right, &truth_index);
     for (const std::string& query : workload.queries) {
       const std::string expected = Digest(uncached.ExecuteText(query));
@@ -214,12 +222,8 @@ int main(int argc, char** argv) {
 
   // The fast stack persists across reps: the first rep pays the cold cache,
   // later reps measure the steady state a long-lived federation sees.
-  fed::CachingEndpoint cached_left(
-      &left, fed::ProbeCacheConfig(),
-      [&truth_index] { return truth_index.epoch(); });
-  fed::CachingEndpoint cached_right(
-      &right, fed::ProbeCacheConfig(),
-      [&truth_index] { return truth_index.epoch(); });
+  fed::CachingEndpoint cached_left(&left);
+  fed::CachingEndpoint cached_right(&right);
   double fast_seconds = 1e300;
   size_t fast_rows = 0;
   {
@@ -256,40 +260,49 @@ int main(int argc, char** argv) {
   telemetry.AddPhase("perf", perf_watch.ElapsedSeconds());
 
   // --- Traced arm (trace=1), after the timed arms so spans never pollute
-  // the perf numbers. Paired passes over one engine: runtime-disabled then
-  // runtime-enabled, giving the marginal cost of live tracing on identical
-  // (warm-cache) work. The recorder stays populated so the sidecar writes
-  // bench_federated_queries.trace.json at exit.
-  double traced_seconds = 0.0;
-  double untraced_seconds = 0.0;
+  // the perf numbers. kTracePairs alternating pairs over one engine:
+  // runtime-disabled then runtime-enabled, each pair giving the marginal
+  // cost of live tracing on identical (warm-cache) work. One pass takes
+  // well under a millisecond at CI size, so a single pair measures
+  // scheduling noise; the reported overhead is the median over the pairs,
+  // with its quartiles as the spread. The recorder is cleared before each
+  // traced pass, so it ends holding the last one's spans, which the
+  // sidecar writes to bench_federated_queries.trace.json at exit.
+  constexpr size_t kTracePairs = 21;
+  std::vector<double> untraced_passes, traced_passes, overhead_pcts;
   uint64_t trace_events = 0;
   if (trace) {
     Stopwatch trace_watch;
     fed::FederatedEngine engine(&cached_left, &cached_right, &truth_index);
-    {
-      Stopwatch watch;
-      simulation::ExecuteFederatedWorkload(engine, workload);
-      untraced_seconds = watch.ElapsedSeconds();
-    }
     obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-    recorder.Clear();
-    recorder.SetEnabled(true);
-    {
-      Stopwatch watch;
+    for (size_t pair_index = 0; pair_index < kTracePairs; ++pair_index) {
+      Stopwatch untraced_watch;
       simulation::ExecuteFederatedWorkload(engine, workload);
-      traced_seconds = watch.ElapsedSeconds();
+      untraced_passes.push_back(untraced_watch.ElapsedSeconds());
+      recorder.Clear();
+      recorder.SetEnabled(true);
+      Stopwatch traced_watch;
+      simulation::ExecuteFederatedWorkload(engine, workload);
+      traced_passes.push_back(traced_watch.ElapsedSeconds());
+      recorder.SetEnabled(false);
+      if (untraced_passes.back() > 0.0) {
+        overhead_pcts.push_back(100.0 *
+                                (traced_passes.back() -
+                                 untraced_passes.back()) /
+                                untraced_passes.back());
+      }
     }
-    recorder.SetEnabled(false);
     trace_events = recorder.Events().size();
     telemetry.AddPhase("traced", trace_watch.ElapsedSeconds());
 
     std::ofstream prom("bench_federated_queries.prom");
     obs::WritePrometheusText(obs::MetricsRegistry::Global().Snapshot(), prom);
   }
-  const double trace_overhead_pct =
-      untraced_seconds > 0.0
-          ? 100.0 * (traced_seconds - untraced_seconds) / untraced_seconds
-          : 0.0;
+  const double untraced_seconds = Quantile(untraced_passes, 0.5);
+  const double traced_seconds = Quantile(traced_passes, 0.5);
+  const double trace_overhead_pct = Quantile(overhead_pcts, 0.5);
+  const double trace_overhead_pct_q1 = Quantile(overhead_pcts, 0.25);
+  const double trace_overhead_pct_q3 = Quantile(overhead_pcts, 0.75);
 #ifdef ALEX_TRACING_ENABLED
   const bool tracing_compiled_in = true;
 #else
@@ -334,6 +347,8 @@ int main(int argc, char** argv) {
   if (trace) {
     telemetry.AddField("trace_events", trace_events);
     telemetry.AddField("trace_runtime_overhead_pct", trace_overhead_pct);
+    telemetry.AddField("trace_overhead_pct_q1", trace_overhead_pct_q1);
+    telemetry.AddField("trace_overhead_pct_q3", trace_overhead_pct_q3);
   }
 
   std::printf("{\n");
@@ -384,8 +399,13 @@ int main(int argc, char** argv) {
   std::printf("    \"traced\": %s,\n", trace ? "true" : "false");
   std::printf("    \"untraced_seconds\": %.6f,\n", untraced_seconds);
   std::printf("    \"traced_seconds\": %.6f,\n", traced_seconds);
+  std::printf("    \"trace_pairs\": %zu,\n", overhead_pcts.size());
   std::printf("    \"trace_runtime_overhead_pct\": %.2f,\n",
               trace_overhead_pct);
+  std::printf("    \"trace_overhead_pct_q1\": %.2f,\n",
+              trace_overhead_pct_q1);
+  std::printf("    \"trace_overhead_pct_q3\": %.2f,\n",
+              trace_overhead_pct_q3);
   std::printf("    \"trace_events\": %llu\n",
               static_cast<unsigned long long>(trace_events));
   std::printf("  },\n");

@@ -88,6 +88,7 @@ bool AlexEngine::AddCandidate(PairKey pair) {
   auto it = std::lower_bound(candidates_.begin(), candidates_.end(), pair);
   if (it != candidates_.end() && *it == pair) return false;
   candidates_.insert(it, pair);
+  if (recording_delta_) delta_journal_.emplace_back(pair, true);
   return true;
 }
 
@@ -95,7 +96,37 @@ bool AlexEngine::RemoveCandidate(PairKey pair) {
   auto it = std::lower_bound(candidates_.begin(), candidates_.end(), pair);
   if (it == candidates_.end() || *it != pair) return false;
   candidates_.erase(it);
+  if (recording_delta_) delta_journal_.emplace_back(pair, false);
   return true;
+}
+
+void AlexEngine::BeginCandidateDelta() {
+  delta_journal_.clear();
+  recording_delta_ = true;
+}
+
+void AlexEngine::TakeCandidateDelta(std::vector<PairKey>* added,
+                                    std::vector<PairKey>* removed) {
+  recording_delta_ = false;
+  // Group each key's changes, keeping their order. Only effective changes
+  // are journaled, so a key's inserts and erases alternate: the key changed
+  // net iff its first and last change agree, and in that direction.
+  std::stable_sort(
+      delta_journal_.begin(), delta_journal_.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t i = 0; i < delta_journal_.size();) {
+    size_t last = i;
+    while (last + 1 < delta_journal_.size() &&
+           delta_journal_[last + 1].first == delta_journal_[i].first) {
+      ++last;
+    }
+    const auto& [key, inserted] = delta_journal_[i];
+    if (inserted == delta_journal_[last].second) {
+      (inserted ? added : removed)->push_back(key);
+    }
+    i = last + 1;
+  }
+  delta_journal_.clear();
 }
 
 void AlexEngine::ProcessFeedback(const feedback::FeedbackItem& item) {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -63,6 +64,17 @@ class AlexEngine {
     return std::binary_search(candidates_.begin(), candidates_.end(), pair);
   }
   const LinkSpace& space() const { return *space_; }
+
+  /// Starts recording the candidate-set changes made by feedback and
+  /// episode ends, for TakeCandidateDelta(). Cost: one journal entry per
+  /// effective insert or erase.
+  void BeginCandidateDelta();
+  /// Stops recording and appends the net change since
+  /// BeginCandidateDelta(), ascending, to `added` (candidates now that were
+  /// not then) and `removed` (the reverse).
+  void TakeCandidateDelta(std::vector<PairKey>* added,
+                          std::vector<PairKey>* removed);
+
   /// The live policy, behind the abstract interface. The concrete type is
   /// chosen by `config.policy` via the PolicyRegistry at construction.
   const Policy& policy() const { return *policy_; }
@@ -100,7 +112,10 @@ class AlexEngine {
  private:
   void Explore(PairKey state, FeatureKey action);
   void Rollback(const StateAction& generator);
-  /// Sorted-vector insert and erase; each returns whether the set changed.
+  /// Sorted-vector insert and erase; each returns whether the set changed
+  /// and journals the change while a delta is being recorded. Every
+  /// candidate-set mutation outside InitializeCandidates and LoadState goes
+  /// through these two.
   bool AddCandidate(PairKey pair);
   bool RemoveCandidate(PairKey pair);
 
@@ -115,6 +130,10 @@ class AlexEngine {
   /// an insert or erase shifts a few KB, and the sampling snapshot is a
   /// plain copy.
   std::vector<PairKey> candidates_;
+  /// Effective inserts (true) and erases (false) in order, while
+  /// recording_delta_.
+  std::vector<std::pair<PairKey, bool>> delta_journal_;
+  bool recording_delta_ = false;
   std::unordered_set<PairKey> blacklist_;
   std::unordered_set<PairKey> ever_explored_;
 

@@ -1,7 +1,6 @@
 #include "core/partitioned.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/thread_pool.h"
 #include "exec/arena.h"
@@ -166,28 +165,25 @@ EngineEpisodeStats PartitionedAlex::EndEpisode() {
   return total;
 }
 
-namespace {
-
-// CandidateVector's canonical order is partition-major (sorted only within
-// each partition), so both snapshots are re-sorted globally before the set
-// differences.
-void DiffCandidates(std::vector<PairKey> before, std::vector<PairKey> after,
-                    PartitionedAlex::EpisodeCommit* commit) {
-  std::sort(before.begin(), before.end());
-  std::sort(after.begin(), after.end());
-  std::set_difference(after.begin(), after.end(), before.begin(),
-                      before.end(), std::back_inserter(commit->added));
-  std::set_difference(before.begin(), before.end(), after.begin(),
-                      after.end(), std::back_inserter(commit->removed));
+void PartitionedAlex::BeginDelta() {
+  for (const auto& engine : engines_) engine->BeginCandidateDelta();
 }
 
-}  // namespace
+void PartitionedAlex::TakeDelta(EpisodeCommit* commit) {
+  for (const auto& engine : engines_) {
+    engine->TakeCandidateDelta(&commit->added, &commit->removed);
+  }
+  // Each engine's part is ascending, but partitions interleave in key
+  // order (left entity i lives in partition i mod n).
+  std::sort(commit->added.begin(), commit->added.end());
+  std::sort(commit->removed.begin(), commit->removed.end());
+}
 
 PartitionedAlex::EpisodeCommit PartitionedAlex::EndEpisodeWithDelta() {
-  std::vector<PairKey> before = CandidateVector();
+  BeginDelta();
   EpisodeCommit commit;
   commit.stats = EndEpisode();
-  DiffCandidates(std::move(before), CandidateVector(), &commit);
+  TakeDelta(&commit);
   return commit;
 }
 
@@ -196,11 +192,11 @@ PartitionedAlex::EpisodeCommit PartitionedAlex::CommitFeedbackBatch(
   // The window opens BEFORE feedback routing: ProcessFeedback mutates the
   // candidate set directly (rejected links are erased, approvals can fan
   // out into exploration adds), and EndEpisode only improves the policy.
-  std::vector<PairKey> before = CandidateVector();
+  BeginDelta();
   ProcessFeedbackBatch(items);
   EpisodeCommit commit;
   commit.stats = EndEpisode();
-  DiffCandidates(std::move(before), CandidateVector(), &commit);
+  TakeDelta(&commit);
   return commit;
 }
 

@@ -56,9 +56,11 @@ class PartitionedAlex {
 
   /// An episode's aggregated stats plus the exact candidate-set delta it
   /// produced: the links it added and the links it removed, each sorted
-  /// ascending. The link service feeds these straight into the versioned
-  /// link index's staging area, so an episode commit publishes precisely
-  /// what changed — no full-set rebuild per commit.
+  /// ascending. The engines journal their own candidate inserts and erases
+  /// while the window is open, and the delta is each key's net change, so
+  /// taking it costs O(changes), not O(candidates). The link service feeds
+  /// it straight into the versioned link index's staging area, so an
+  /// episode commit publishes precisely what changed.
   struct EpisodeCommit {
     EngineEpisodeStats stats;
     std::vector<PairKey> added;
@@ -121,6 +123,9 @@ class PartitionedAlex {
 
  private:
   ThreadPool* pool();
+  /// Opens and closes an EpisodeCommit delta window on every engine.
+  void BeginDelta();
+  void TakeDelta(EpisodeCommit* commit);
 
   const rdf::Dataset* left_;
   const rdf::Dataset* right_;

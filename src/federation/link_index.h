@@ -35,9 +35,10 @@ struct SameAsLink {
 /// insertion order. The federated engine expands sameAs co-referents
 /// through this view, so the innermost join loop allocates no strings.
 ///
-/// `epoch()` increments on every successful Add/Remove — the invalidation
-/// signal probe caches watch (see fed::CachingEndpoint) so link mutations
-/// between episodes are visible to the next query immediately.
+/// `epoch()` increments on every successful Add/Remove, so it names a
+/// version of the link set; a VersionedLinkIndex snapshot carries the epoch
+/// it was published at. Probe caches do not need it: a probe runs after
+/// sameAs expansion, so its rows depend on the endpoint's data only.
 class LinkIndex {
  public:
   /// Dense id of an IRI interned by this index. Ids are never reused;
@@ -73,8 +74,8 @@ class LinkIndex {
   /// Empty for unknown/unlinked ids.
   const std::vector<IriId>& LeftIdsFor(IriId right) const;
 
-  /// Mutation epoch: bumped by every successful Add/Remove. Caches keyed on
-  /// query/probe results derived from this index compare epochs to decide
+  /// Mutation epoch: bumped by every successful Add/Remove. Caches of
+  /// results derived from this index can compare epochs to decide
   /// staleness.
   uint64_t epoch() const { return epoch_; }
 

@@ -46,11 +46,14 @@ struct ProbeCacheConfig {
 /// A cold cache therefore forwards exactly the probe sequence the inner
 /// stack would have seen without it.
 ///
-/// Invalidation is epoch-based: construct with an `EpochFn` (typically
-/// `[&links] { return links.epoch(); }` over the LinkIndex ALEX mutates, or
-/// a composite that also counts dataset mutations). Whenever the epoch
-/// changes between probes the whole cache is dropped, so feedback applied
-/// between episodes is visible to the very next query. `Flush()` is the
+/// An entry depends on the endpoint's data only. The federated engine
+/// expands owl:sameAs co-referents against its link snapshot BEFORE it
+/// probes, so a probe is a concrete pattern and link changes never make a
+/// cached result stale: over an immutable dataset (the link service's
+/// case) construct without an `EpochFn` and the cache never flushes.
+/// When the data under the endpoint can change, pass an `EpochFn` that
+/// moves with it (e.g. a dataset mutation counter): whenever the epoch
+/// changes between probes the whole cache is dropped. `Flush()` is the
 /// manual hook for mutations with no epoch source.
 ///
 /// Thread-safe: lookups/inserts are mutex-guarded, and the lock is never

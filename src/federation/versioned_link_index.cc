@@ -14,6 +14,8 @@ struct VersionMetrics {
       obs::MetricsRegistry::Global().counter("fed.link_commit_adds");
   obs::Counter& committed_removes =
       obs::MetricsRegistry::Global().counter("fed.link_commit_removes");
+  obs::Counter& snapshot_copies =
+      obs::MetricsRegistry::Global().counter("fed.link_snapshot_copies");
 
   static VersionMetrics& Get() {
     static VersionMetrics* metrics = new VersionMetrics();
@@ -25,10 +27,27 @@ struct VersionMetrics {
 
 VersionedLinkIndex::VersionedLinkIndex() : VersionedLinkIndex(LinkIndex()) {}
 
-VersionedLinkIndex::VersionedLinkIndex(LinkIndex initial)
-    : master_(std::move(initial)) {
-  published_ = std::make_shared<const LinkIndex>(master_);
+VersionedLinkIndex::VersionedLinkIndex(LinkIndex initial) {
+  published_ = MakeSnapshot(std::make_unique<LinkIndex>(std::move(initial)),
+                            version_);
   published_epoch_.store(published_->epoch(), std::memory_order_release);
+}
+
+std::shared_ptr<const LinkIndex> VersionedLinkIndex::MakeSnapshot(
+    std::unique_ptr<LinkIndex> index, uint64_t version) const {
+  // The deleter receives the non-const LinkIndex* it was constructed with,
+  // so a returned buffer can be mutated again without a cast.
+  return std::shared_ptr<const LinkIndex>(
+      index.release(), [slot = retired_, version](LinkIndex* buffer) {
+        // Declared before the lock so an older buffer it ends up owning is
+        // freed after the lock is released.
+        std::unique_ptr<LinkIndex> owned(buffer);
+        std::lock_guard<std::mutex> lock(slot->mu);
+        if (slot->index == nullptr || slot->version < version) {
+          slot->index.swap(owned);
+          slot->version = version;
+        }
+      });
 }
 
 std::shared_ptr<const LinkIndex> VersionedLinkIndex::Acquire() const {
@@ -55,21 +74,50 @@ size_t VersionedLinkIndex::staged_ops() const {
   return staged_.size();
 }
 
+std::unique_ptr<LinkIndex> VersionedLinkIndex::TakeSpareLocked() {
+  std::unique_ptr<LinkIndex> retired;
+  uint64_t retired_version = 0;
+  {
+    std::lock_guard<std::mutex> lock(retired_->mu);
+    retired = std::move(retired_->index);
+    retired_version = retired_->version;
+  }
+  if (retired != nullptr && replay_ok_ && retired_version + 1 == version_) {
+    // Replaying the exact effective operations in order reproduces the
+    // published snapshot bit for bit: same interning, adjacency order and
+    // epoch.
+    for (const StagedOp& op : last_ops_) {
+      if (op.add) {
+        retired->Add(op.left_iri, op.right_iri);
+      } else {
+        retired->Remove(op.left_iri, op.right_iri);
+      }
+    }
+    return retired;
+  }
+  // The previous snapshot is still held by a reader (or there has been
+  // only one so far): copy the published one, which no one mutates.
+  VersionMetrics::Get().snapshot_copies.Add(1);
+  return std::make_unique<LinkIndex>(*Acquire());
+}
+
 CommitResult VersionedLinkIndex::Commit() {
   std::lock_guard<std::mutex> lock(write_mu_);
+  std::unique_ptr<LinkIndex> next = TakeSpareLocked();
   CommitResult result;
-  for (const StagedOp& op : staged_) {
-    if (op.add) {
-      if (master_.Add(op.left_iri, op.right_iri)) ++result.added;
-    } else {
-      if (master_.Remove(op.left_iri, op.right_iri)) ++result.removed;
-    }
+  last_ops_.clear();
+  for (StagedOp& op : staged_) {
+    const bool effective = op.add ? next->Add(op.left_iri, op.right_iri)
+                                  : next->Remove(op.left_iri, op.right_iri);
+    if (!effective) continue;
+    ++(op.add ? result.added : result.removed);
+    last_ops_.push_back(std::move(op));
   }
   staged_.clear();
-  // The O(links) snapshot copy happens here, under write_mu_ only: readers
-  // keep acquiring the previous snapshot until the constant-time publish.
-  Publish(std::make_shared<const LinkIndex>(master_));
-  result.epoch = master_.epoch();
+  replay_ok_ = true;
+  ++version_;
+  result.epoch = next->epoch();
+  Publish(MakeSnapshot(std::move(next), version_));
   result.sequence =
       commit_sequence_.fetch_add(1, std::memory_order_acq_rel) + 1;
 
@@ -82,29 +130,33 @@ CommitResult VersionedLinkIndex::Commit() {
 
 void VersionedLinkIndex::Reset(LinkIndex state) {
   std::lock_guard<std::mutex> lock(write_mu_);
-  master_ = std::move(state);
   staged_.clear();
-  Publish(std::make_shared<const LinkIndex>(master_));
+  last_ops_.clear();
+  replay_ok_ = false;
+  ++version_;
+  Publish(MakeSnapshot(std::make_unique<LinkIndex>(std::move(state)),
+                       version_));
 }
 
 void VersionedLinkIndex::Publish(std::shared_ptr<const LinkIndex> snapshot) {
   const uint64_t epoch = snapshot->epoch();
   {
     std::lock_guard<std::mutex> lock(publish_mu_);
-    published_ = std::move(snapshot);
+    published_.swap(snapshot);
   }
   published_epoch_.store(epoch, std::memory_order_release);
+  // `snapshot` now holds the retired view; dropping it here, outside
+  // publish_mu_, returns its buffer to retired_ unless a reader holds it.
 }
 
 void VersionedLinkIndex::SaveState(BinaryWriter* w) const {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  master_.SaveState(w);
+  Acquire()->SaveState(w);
 }
 
 Status VersionedLinkIndex::LoadState(BinaryReader* r) {
   // Parse into a scratch index first so a corrupt payload cannot leave this
   // object half-restored (LinkIndex::LoadState is itself all-or-nothing,
-  // but going through Reset keeps master/published/epoch atomic too).
+  // but going through Reset keeps the snapshot and epoch atomic too).
   LinkIndex loaded;
   ALEX_RETURN_NOT_OK(loaded.LoadState(r));
   Reset(std::move(loaded));

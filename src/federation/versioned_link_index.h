@@ -32,8 +32,7 @@ struct CommitResult {
 /// The plain LinkIndex mutates in place and bumps its epoch on every
 /// Add/Remove, which is the right granularity for the single-threaded
 /// episode loop but not for a service where N client threads query while
-/// feedback arrives: readers would race mutations, and probe caches keyed
-/// on the epoch would flush once per link instead of once per episode.
+/// feedback arrives: readers would race mutations.
 ///
 /// This wrapper splits the two roles:
 ///  - Readers call Acquire() and get a shared_ptr to an immutable published
@@ -41,20 +40,27 @@ struct CommitResult {
 ///    by concurrent staging or commits; the snapshot stays alive (shared
 ///    ownership) until the last in-flight query drops it.
 ///  - Writers stage mutations (StageAdd/StageRemove); nothing is visible to
-///    readers until Commit() applies the staged batch to the master index,
-///    copies it into a fresh immutable snapshot, and publishes it. Only
-///    then does published_epoch() move, so a probe cache watching it (the
-///    CachingEndpoint EpochFn) is invalidated exactly once per commit — at
-///    the episode boundary, matching the paper's feedback model.
+///    readers until Commit() applies the staged batch to a spare buffer and
+///    publishes it. Only then does published_epoch() move.
+///
+/// Two buffers, so a commit costs O(staged ops), not O(links): when the
+/// last holder of a retired snapshot lets go, the snapshot's deleter hands
+/// its buffer back to this index (a one-entry slot that keeps only the
+/// newest retired buffer). The next commit takes it, replays the previous
+/// commit's effective operations to bring it level with the published
+/// snapshot, then applies the newly staged ones and publishes it. Only
+/// when the previous snapshot is still held by a reader (the slot holds an
+/// older buffer, or none) does the commit fall back to copying the
+/// published snapshot; fed.link_snapshot_copies counts those copies.
 ///
 /// Thread-safe. Acquire()/published_epoch() are cheap (one short mutex hold
-/// / one atomic load) and never block behind a commit's O(links) snapshot
-/// copy, which happens outside the publish lock.
+/// / one atomic load) and never block behind a commit, whose buffer work
+/// happens outside the publish lock.
 class VersionedLinkIndex {
  public:
   VersionedLinkIndex();
-  /// Seeds the master index (and the first published snapshot, epoch
-  /// included) from an existing LinkIndex.
+  /// Seeds the first published snapshot (epoch included) from an existing
+  /// LinkIndex.
   explicit VersionedLinkIndex(LinkIndex initial);
 
   VersionedLinkIndex(const VersionedLinkIndex&) = delete;
@@ -64,8 +70,8 @@ class VersionedLinkIndex {
   /// for as long as it holds the pointer; later commits do not mutate it.
   std::shared_ptr<const LinkIndex> Acquire() const;
 
-  /// Epoch of the published snapshot — moves only at Commit()/Reset(), not
-  /// per staged mutation. This is what probe-cache EpochFns should watch.
+  /// Epoch of the published snapshot — moves only at an effective Commit()
+  /// or a Reset(), not per staged mutation.
   uint64_t published_epoch() const {
     return published_epoch_.load(std::memory_order_acquire);
   }
@@ -86,20 +92,19 @@ class VersionedLinkIndex {
   /// Staged operations not yet committed.
   size_t staged_ops() const;
 
-  /// Applies every staged operation to the master index and publishes a new
-  /// immutable snapshot. Queries already running on the previous snapshot
+  /// Applies every staged operation to a spare buffer and publishes it as
+  /// the new immutable snapshot. Queries already running on the previous snapshot
   /// are unaffected and keep their view; queries that Acquire() after the
   /// publish see the new one. A commit with no effective mutations still
-  /// publishes (sequence bumps) but keeps the epoch, so probe caches are
-  /// not flushed for a no-op episode.
+  /// publishes (sequence bumps) but keeps the epoch.
   CommitResult Commit();
 
-  /// Replaces the whole index (master + published snapshot + epoch) and
-  /// drops any staged operations. Used by checkpoint restore.
+  /// Replaces the whole index (published snapshot + epoch) and drops any
+  /// staged operations. Used by checkpoint restore.
   void Reset(LinkIndex state);
 
-  /// Serializes the master index (bit-identical restore via LoadState,
-  /// epoch included). Staged, uncommitted operations are NOT part of a
+  /// Serializes the published snapshot (bit-identical restore via
+  /// LoadState, epoch included). Staged, uncommitted operations are NOT part of a
   /// snapshot — they correspond to feedback whose episode has not been
   /// committed; checkpoint at commit boundaries (as LinkService does) and
   /// nothing is pending.
@@ -116,15 +121,46 @@ class VersionedLinkIndex {
     std::string right_iri;
   };
 
-  /// Swaps `snapshot` in as the published view. Callers hold write_mu_.
+  /// Where a retired snapshot's buffer lands once its last holder drops
+  /// it. Shared with every snapshot's deleter, so it outlives this index
+  /// when a reader does.
+  struct RetiredSlot {
+    std::mutex mu;
+    /// The newest retired buffer and the version it holds; null when none
+    /// came back (yet) or the commit took it.
+    std::unique_ptr<LinkIndex> index;
+    uint64_t version = 0;
+  };
+
+  /// Wraps `index`, which holds `version`, as a published snapshot whose
+  /// deleter returns the buffer to retired_.
+  std::shared_ptr<const LinkIndex> MakeSnapshot(
+      std::unique_ptr<LinkIndex> index, uint64_t version) const;
+
+  /// A private buffer equal to the published snapshot: the retired buffer
+  /// with last_ops_ replayed onto it when it is the one published just
+  /// before, else a copy. Callers hold write_mu_.
+  std::unique_ptr<LinkIndex> TakeSpareLocked();
+
+  /// Swaps `snapshot` in as the published view and drops the caller's hold
+  /// on the one it replaces. Callers hold write_mu_.
   void Publish(std::shared_ptr<const LinkIndex> snapshot);
 
-  /// Serializes stagers and committers; guards master_ and staged_.
-  /// Ordering: write_mu_ may be held when taking publish_mu_, never the
-  /// reverse.
+  /// Serializes stagers and committers; guards staged_, last_ops_,
+  /// replay_ok_ and version_. Ordering: write_mu_ may be held when taking
+  /// publish_mu_ or retired_->mu, never the reverse; retired_->mu is a
+  /// leaf.
   mutable std::mutex write_mu_;
-  LinkIndex master_;
   std::vector<StagedOp> staged_;
+  /// Effective operations of the last commit: they take the buffer of
+  /// version_ - 1 to the published version_. Meaningless (replay_ok_
+  /// false) after construction and Reset(), whose predecessor is unrelated.
+  std::vector<StagedOp> last_ops_;
+  bool replay_ok_ = false;
+  /// Bumped by every publish; tags buffers so a retired one is recycled
+  /// only onto the version it is one commit behind.
+  uint64_t version_ = 0;
+  std::shared_ptr<RetiredSlot> retired_ = std::make_shared<RetiredSlot>();
 
   /// Guards only the published_ pointer swap/copy — held for a few
   /// instructions, so readers never wait behind a commit.

@@ -81,16 +81,11 @@ LinkService::LinkService(datagen::GeneratedPair* pair,
   pair_->right.BuildEntityIndex();
 
   if (config_.use_probe_cache) {
-    // Caches key on the PUBLISHED link epoch: it moves only when an episode
-    // commit lands, so a whole episode of queries shares cache entries and
-    // the flush happens exactly once per commit.
-    fed::CachingEndpoint::EpochFn epoch = [this] {
-      return links_.published_epoch();
-    };
-    left_cached_ = std::make_unique<fed::CachingEndpoint>(
-        &left_base_, fed::ProbeCacheConfig(), epoch);
-    right_cached_ = std::make_unique<fed::CachingEndpoint>(
-        &right_base_, fed::ProbeCacheConfig(), epoch);
+    // No epoch source: after sameAs expansion against the snapshot, every
+    // probe is a concrete pattern over an immutable dataset, so a link
+    // commit cannot make a cached probe result stale.
+    left_cached_ = std::make_unique<fed::CachingEndpoint>(&left_base_);
+    right_cached_ = std::make_unique<fed::CachingEndpoint>(&right_base_);
   }
 
   workload_ = simulation::MakeFederatedWorkload(
@@ -134,16 +129,18 @@ void LinkService::RunOneOp(Session* s) {
   metrics.in_flight.Set(static_cast<int64_t>(admission_.in_flight()));
   metrics.in_flight.UpdateMax(static_cast<int64_t>(admission_.in_flight()));
 
-  // The snapshot pins this query's view of the link set: a commit landing
-  // mid-query publishes a NEW index while this shared_ptr keeps the old one
-  // alive, so the query sees one consistent epoch end to end.
-  std::shared_ptr<const fed::LinkIndex> snapshot = links_.Acquire();
-  fed::FederatedEngine engine(left_stack(), right_stack(), snapshot.get());
-
   const double start = clock_->NowSeconds();
   Result<fed::FederatedResult> result = [&]() -> Result<fed::FederatedResult> {
     auto plan = plan_cache_.GetOrCompile(workload_.queries[qi]);
     if (!plan.ok()) return plan.status();
+    // The snapshot pins this query's view of the link set: a commit landing
+    // mid-query publishes a NEW index while this shared_ptr keeps the old
+    // one alive, so the query sees one consistent epoch end to end. It is
+    // dropped as soon as the query returns (rows own their terms and
+    // links), so feedback judging and a commit run by this client do not
+    // pin the buffer that commit wants to recycle.
+    std::shared_ptr<const fed::LinkIndex> snapshot = links_.Acquire();
+    fed::FederatedEngine engine(left_stack(), right_stack(), snapshot.get());
     return engine.Execute(**plan);
   }();
   const double latency = clock_->NowSeconds() - start;
@@ -235,8 +232,8 @@ bool LinkService::MaybeCommit(bool force) {
     ALEX_TRACE_SPAN("service", "LinkService::Commit");
     // Readers keep executing against the published snapshot through all of
     // this: feedback routing, policy improvement, and staging only touch the
-    // engine and the versioned index's master copy. The new link set becomes
-    // visible atomically at Commit().
+    // engine and the versioned index's staging area. The new link set
+    // becomes visible atomically at Commit().
     core::PartitionedAlex::EpisodeCommit episode =
         alex_->CommitFeedbackBatch(batch);
     for (feedback::PairKey key : episode.added) {

@@ -86,8 +86,9 @@ struct ServiceConfig {
   uint64_t seed = 1;
   /// Distinct query texts sampled from the ground truth.
   size_t workload_queries = 64;
-  /// Front both endpoints with a shared probe cache keyed to the link
-  /// epoch, so caches flush exactly when an episode commit publishes.
+  /// Front both endpoints with a probe cache. It never flushes: probes run
+  /// after sameAs expansion over immutable datasets, so a link commit
+  /// cannot make an entry stale.
   bool use_probe_cache = true;
   /// Optional live telemetry; sampled between ops and at every commit.
   obs::TelemetryHub* hub = nullptr;
@@ -143,16 +144,19 @@ struct ServiceReport {
 /// Concurrency protocol (the tentpole design):
 ///   - Queries never touch the engine or a mutable link set. Each op
 ///     Acquire()s the current immutable LinkIndex snapshot from a
-///     VersionedLinkIndex and runs a throwaway FederatedEngine over it
-///     (plans come from one shared thread-safe PlanCache, so per-op engine
-///     construction is pointer wiring, not re-planning).
+///     VersionedLinkIndex, runs a throwaway FederatedEngine over it (plans
+///     come from one shared thread-safe PlanCache, so per-op engine
+///     construction is pointer wiring, not re-planning), and drops the
+///     snapshot as soon as the query returns, so the next commit can
+///     recycle the retired buffer instead of copying the link set.
 ///   - Feedback enqueues under a mutex. When a batch accumulates, ONE
 ///     client becomes the committer (commit_mu_ try_lock; others keep
 ///     serving queries on the old snapshot): it drains the queue, routes
 ///     the batch through PartitionedAlex, ends the episode, stages the
 ///     exact candidate delta into the versioned index, and Commit()s —
-///     publishing a new epoch atomically. Probe caches key on that epoch,
-///     so they flush once per commit, not once per mutation.
+///     publishing a new epoch atomically. Every step costs O(delta), not
+///     O(links). The probe caches depend on endpoint data only and are
+///     never flushed by a commit.
 ///   - Admission control bounds in-flight queries; overflow is shed and
 ///     counted (svc.shed) rather than queued.
 ///

@@ -12,6 +12,13 @@
 // reference build is gone, so the goldens cannot be regenerated from
 // current sources, only re-verified.
 //
+// RelativeStopValueCapBinds was added later, with its goldens recorded from
+// the shared-resource build at commit 55ff97f: the same RunScenario, with
+// each space's BuildStats fields and DigestSpace printed instead of
+// compared. It is the one case where the relative stop-value cap
+// (total_possible / 20 in EffectiveBlockCap) is the binding cap and a block
+// sits just above it, so changing that divisor (to 19 or 10) moves it.
+//
 // Live checks ride along: every kept pair's feature set must equal the
 // uncached ComputeFeatureSet, so a ValueCache bug cannot hide behind a
 // matching golden, and the per-feature index must agree with the sets.
@@ -25,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/blocking.h"
 #include "core/link_space.h"
 #include "core/partitioned.h"
 #include "datagen/generator.h"
@@ -181,6 +189,53 @@ TEST(BlockingEquivalenceTest, AmbiguousMultiDomainScenarioWithTightCap) {
       {3480u, 760u, 173u, 253u, 0x6d92a5a7bf01a114ull},
   };
   RunScenario(config, 150, kGoldens);
+}
+
+TEST(BlockingEquivalenceTest, RelativeStopValueCapBinds) {
+  // Small cross product, decoy-heavy names, and a loose absolute cap: the
+  // relative cap total_possible / 20 sits above the 100-pair floor and
+  // below max_block_pairs, and one shared-name block lands in
+  // (total / 20, total / 19], so it is skipped as a stop value only because
+  // of that divisor.
+  datagen::ScenarioConfig config;
+  config.name = "equiv_relative_cap";
+  config.seed = 5;
+  config.num_shared = 40;
+  config.num_left_only = 10;
+  config.num_right_only = 15;
+  config.domains = {"person", "organization"};
+  config.value_noise = 0.3;
+  config.ambiguity = 0.8;
+
+  const datagen::GeneratedPair pair = datagen::GenerateScenario(config);
+  const uint64_t total = static_cast<uint64_t>(pair.left.num_entities()) *
+                         pair.right.num_entities();
+  ASSERT_GT(total / 20, 100u);
+  ASSERT_LT(total / 19, 20000u);
+  const BlockingIndex right_index(pair.right);
+  const TermKeyCache left_keys(pair.left);
+  std::unordered_map<BlockKey, uint64_t> left_counts;
+  std::vector<BlockKey> keys;
+  for (rdf::EntityId e = 0; e < pair.left.num_entities(); ++e) {
+    left_keys.EntityKeys(e, &keys);
+    for (BlockKey key : keys) ++left_counts[key];
+  }
+  bool block_at_cap = false;
+  for (const auto& [key, count] : left_counts) {
+    const std::vector<rdf::EntityId>* block = right_index.block(key);
+    if (block == nullptr) continue;
+    const uint64_t size = count * block->size();
+    block_at_cap |= size > total / 20 && size <= total / 19;
+  }
+  ASSERT_TRUE(block_at_cap);
+
+  constexpr SpaceGolden kGoldens[4] = {
+      {4250u, 824u, 358u, 571u, 0xa7f2421f0a3f0d9eull},
+      {1445u, 342u, 135u, 211u, 0x4131255dbbb35bf9ull},
+      {1445u, 339u, 121u, 189u, 0xec8fc0a9d855ff9bull},
+      {1360u, 328u, 131u, 201u, 0x692ff3d2b86f0aedull},
+  };
+  RunScenario(config, 20000, kGoldens);
 }
 
 TEST(BlockingEquivalenceTest, SingleShotWrapperMatchesGolden) {

@@ -3,16 +3,19 @@
 // CandidateVector() is those slices concatenated in partition order, with
 // no pool work. Random scenarios with noisy feedback, the blacklist and
 // rollback all on check the store after every ProcessFeedback, EndEpisode
-// and LoadState.
+// and LoadState. The service's episode delta, which the engines journal
+// themselves, is checked against a full before/after diff.
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/binary_io.h"
+#include "common/rng.h"
 #include "core/partitioned.h"
 #include "datagen/generator.h"
 #include "feedback/oracle.h"
@@ -173,6 +176,66 @@ TEST_P(CandidateOrderTest, LearningLoopIssuesNoPoolTasks) {
     const uint64_t batch_before = tasks.Value();
     alex->ProcessFeedbackBatch(judged);
     EXPECT_GT(tasks.Value() - batch_before, 0u);
+  }
+}
+
+// CommitFeedbackBatch takes its delta from the engines' own insert/erase
+// journals; it must equal the full before/after diff of the candidate set,
+// globally ascending, at 1, 3 and 27 partitions. Batches mix oracle-judged
+// candidates, random pairs with random verdicts (mostly outside the link
+// space) and repeats of an earlier item with the opposite verdict, so keys
+// that change and change back within one batch occur.
+TEST_P(CandidateOrderTest, CommitDeltaEqualsFullDiff) {
+  for (size_t partitions : {1, 3, 27}) {
+    SCOPED_TRACE(partitions);
+    config_.num_partitions = partitions;
+    std::unique_ptr<PartitionedAlex> alex = MakeBuilt();
+    alex->InitializeCandidates(InitialLinks());
+    feedback::Oracle oracle(&pair_.truth, 0.2, GetParam() ^ partitions);
+    Rng rng(GetParam() * 31 + partitions);
+    const uint64_t left = pair_.left.num_entities();
+    const uint64_t right = pair_.right.num_entities();
+    size_t changes = 0;
+    size_t delta_size = 0;
+    for (int episode = 0; episode < 8; ++episode) {
+      SCOPED_TRACE(episode);
+      std::vector<feedback::FeedbackItem> batch;
+      const size_t n = 1 + rng.UniformInt(40);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t kind = rng.UniformInt(4);
+        if (kind == 0 && !batch.empty()) {
+          feedback::FeedbackItem flip = batch[rng.UniformInt(batch.size())];
+          flip.positive = !flip.positive;
+          batch.push_back(flip);
+        } else if (kind == 1) {
+          batch.push_back(feedback::FeedbackItem{
+              static_cast<rdf::EntityId>(rng.UniformInt(left)),
+              static_cast<rdf::EntityId>(rng.UniformInt(right)),
+              rng.Bernoulli(0.5)});
+        } else if (auto item = oracle.SampleAndJudge(alex->CandidateVector())) {
+          batch.push_back(*item);
+        }
+      }
+
+      std::vector<PairKey> before = alex->CandidateVector();
+      const PartitionedAlex::EpisodeCommit commit =
+          alex->CommitFeedbackBatch(batch);
+      std::vector<PairKey> after = alex->CandidateVector();
+      std::sort(before.begin(), before.end());
+      std::sort(after.begin(), after.end());
+      std::vector<PairKey> added, removed;
+      std::set_difference(after.begin(), after.end(), before.begin(),
+                          before.end(), std::back_inserter(added));
+      std::set_difference(before.begin(), before.end(), after.begin(),
+                          after.end(), std::back_inserter(removed));
+      ASSERT_EQ(commit.added, added);
+      ASSERT_EQ(commit.removed, removed);
+      changes += commit.stats.links_added + commit.stats.links_removed;
+      delta_size += added.size() + removed.size();
+    }
+    // The batches changed the set, and some changes cancelled out.
+    EXPECT_GT(delta_size, 0u);
+    EXPECT_GT(changes, delta_size);
   }
 }
 

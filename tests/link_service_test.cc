@@ -1,7 +1,8 @@
 // Tests for svc::LinkService and its admission controller: bounded
 // in-flight accounting (TryEnter/Exit/shed), deterministic-mode
-// repeatability (two identical runs produce identical reports),
-// kill-and-resume through the service checkpoint payload, and a concurrent
+// repeatability (two identical runs produce identical reports), probe-cache
+// transparency (the cache, never flushed by link commits, changes no
+// result), kill-and-resume through the service checkpoint payload, and a concurrent
 // many-client smoke whose op accounting must balance exactly — the
 // "sanitize" label routes that one through the TSan CI job.
 
@@ -11,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "core/partitioned.h"
 #include "datagen/generator.h"
 #include "datagen/scenarios.h"
+#include "obs/metrics.h"
 #include "service/link_service.h"
 
 namespace alex::svc {
@@ -119,6 +122,61 @@ TEST_F(LinkServiceTest, DeterministicRunsAreRepeatable) {
   EXPECT_GT(r1.answered, 0u);
   EXPECT_GT(r1.committed_episodes, 0u);
   EXPECT_GT(r1.epochs_published, 0u);
+}
+
+// The probe caches have no link-epoch source: after sameAs expansion a
+// probe is a concrete pattern over an immutable dataset, so entries cached
+// before a commit stay valid after it. A deterministic run with the cache
+// must therefore equal the same run without it — every report counter, the
+// quality, and the final link set — while commits add and remove links
+// between cache hits.
+TEST_F(LinkServiceTest, ProbeCacheChangesNoResult) {
+  ServiceConfig config = BaseConfig();
+  config.deterministic = true;
+  config.ops_per_client = 40;
+  config.oracle_error_rate = 0.2;
+
+  auto run = [&](bool use_probe_cache, std::string* link_bytes) {
+    ServiceConfig c = config;
+    c.use_probe_cache = use_probe_cache;
+    auto alex = MakeEngine();
+    LinkService service(&pair_, alex.get(), alex_config_, c);
+    const ServiceReport report = service.Run();
+    BinaryWriter w;
+    service.links().SaveState(&w);
+    *link_bytes = std::string(w.buffer());
+    return report;
+  };
+  obs::Counter& hits =
+      obs::MetricsRegistry::Global().counter("fed.probe_cache_hits");
+  std::string cached_links, uncached_links;
+  const uint64_t hits_before = hits.Value();
+  const ServiceReport cached = run(true, &cached_links);
+  const uint64_t cache_hits = hits.Value() - hits_before;
+  const ServiceReport uncached = run(false, &uncached_links);
+
+  EXPECT_EQ(cached.ops, uncached.ops);
+  EXPECT_EQ(cached.queries, uncached.queries);
+  EXPECT_EQ(cached.shed, uncached.shed);
+  EXPECT_EQ(cached.answered, uncached.answered);
+  EXPECT_EQ(cached.degraded, uncached.degraded);
+  EXPECT_EQ(cached.failed, uncached.failed);
+  EXPECT_EQ(cached.rows, uncached.rows);
+  EXPECT_EQ(cached.feedback_items, uncached.feedback_items);
+  EXPECT_EQ(cached.committed_episodes, uncached.committed_episodes);
+  EXPECT_EQ(cached.epochs_published, uncached.epochs_published);
+  EXPECT_EQ(cached.links_added, uncached.links_added);
+  EXPECT_EQ(cached.links_removed, uncached.links_removed);
+  EXPECT_EQ(cached.quality.precision, uncached.quality.precision);
+  EXPECT_EQ(cached.quality.recall, uncached.quality.recall);
+  EXPECT_EQ(cached.quality.f_measure, uncached.quality.f_measure);
+  EXPECT_EQ(cached_links, uncached_links);
+  // The run exercised what the equality is about: cache hits, and several
+  // commits that both added and removed links.
+  EXPECT_GT(cache_hits, 0u);
+  EXPECT_GT(cached.committed_episodes, 2u);
+  EXPECT_GT(cached.links_added, 0u);
+  EXPECT_GT(cached.links_removed, 0u);
 }
 
 TEST_F(LinkServiceTest, KillAndResumeRestoresServiceState) {

@@ -3,9 +3,12 @@
 // their Acquire()d view across staging and commits), epoch semantics (the
 // published epoch moves only at effective commits, never per staged op),
 // probe-cache coherence through a CachingEndpoint EpochFn, checkpoint
-// round-trips, and a reader/committer stress test that runs clean under
-// ThreadSanitizer (the "sanitize" label routes it through the TSan CI job).
+// round-trips, equivalence with a plain LinkIndex over random commit
+// sequences (through both the recycled-buffer and the copy path), and a
+// reader/committer stress test that runs clean under ThreadSanitizer (the
+// "sanitize" label routes it through the TSan CI job).
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -15,9 +18,11 @@
 #include <gtest/gtest.h>
 
 #include "common/binary_io.h"
+#include "common/rng.h"
 #include "federation/endpoint.h"
 #include "federation/probe_cache.h"
 #include "federation/versioned_link_index.h"
+#include "obs/metrics.h"
 #include "rdf/dataset.h"
 
 namespace alex::fed {
@@ -25,6 +30,24 @@ namespace {
 
 std::string L(int i) { return "http://left/e" + std::to_string(i); }
 std::string R(int i) { return "http://right/e" + std::to_string(i); }
+
+std::string StateBytes(const LinkIndex& index) {
+  BinaryWriter w;
+  index.SaveState(&w);
+  return std::string(w.buffer());
+}
+
+std::string StateBytes(const VersionedLinkIndex& links) {
+  BinaryWriter w;
+  links.SaveState(&w);
+  return std::string(w.buffer());
+}
+
+uint64_t SnapshotCopies() {
+  return obs::MetricsRegistry::Global()
+      .counter("fed.link_snapshot_copies")
+      .Value();
+}
 
 TEST(VersionedLinkIndexTest, SeedsFirstSnapshotFromInitialIndex) {
   LinkIndex seed;
@@ -186,10 +209,101 @@ TEST(VersionedLinkIndexTest, ProbeCacheFlushesOncePerEffectiveCommit) {
   EXPECT_EQ(cached.hits(), 4u);
 }
 
+// Random commit sequences against a plain LinkIndex fed the same operations:
+// adds, removes, re-adds of removed links, duplicate adds, absent removes,
+// no-op commits and Reset()s. Some published snapshots are held across 0, 1
+// or 3 later commits, which forces the copy path whenever the snapshot just
+// retired is still held; the others let the retired buffer be recycled.
+// After every commit the versioned index must serialize to the plain
+// index's bytes (IRI interning, co-referent order, epoch, size), and every
+// held snapshot must still show its own epoch and links.
+TEST(VersionedLinkIndexTest, RandomCommitsMatchPlainIndexOnBothPaths) {
+  constexpr int kIds = 10;
+  constexpr int kCommits = 80;
+  uint64_t commits = 0;
+  const uint64_t copies_before = SnapshotCopies();
+
+  for (uint64_t seed : {1, 2, 3, 4, 5}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    LinkIndex plain;
+    for (int i = 0; i < 3; ++i) plain.Add(L(i), R(i));
+    VersionedLinkIndex links{LinkIndex(plain)};
+
+    struct Held {
+      std::shared_ptr<const LinkIndex> snapshot;
+      std::string bytes;
+      uint64_t epoch = 0;
+      int commits_left = 0;
+    };
+    std::vector<Held> held;
+
+    for (int c = 0; c < kCommits; ++c) {
+      SCOPED_TRACE(c);
+      if (rng.Bernoulli(0.05)) {
+        LinkIndex fresh;
+        const int n = static_cast<int>(rng.UniformInt(4));
+        for (int i = 0; i < n; ++i) {
+          fresh.Add(L(static_cast<int>(rng.UniformInt(kIds))),
+                    R(static_cast<int>(rng.UniformInt(kIds))));
+        }
+        plain = fresh;
+        links.Reset(std::move(fresh));
+        ASSERT_EQ(StateBytes(links), StateBytes(plain));
+      }
+
+      // 0..8 ops over a small id space, so duplicates, absent removes and
+      // re-adds are common; zero ops is a no-op commit.
+      const int ops = static_cast<int>(rng.UniformInt(9));
+      for (int i = 0; i < ops; ++i) {
+        const int l = static_cast<int>(rng.UniformInt(kIds));
+        const int r = static_cast<int>(rng.UniformInt(kIds));
+        if (rng.Bernoulli(0.6)) {
+          plain.Add(L(l), R(r));
+          links.StageAdd(L(l), R(r));
+        } else {
+          plain.Remove(L(l), R(r));
+          links.StageRemove(L(l), R(r));
+        }
+      }
+      links.Commit();
+      ++commits;
+      ASSERT_EQ(StateBytes(links), StateBytes(plain));
+      ASSERT_EQ(links.published_epoch(), plain.epoch());
+      ASSERT_EQ(links.size(), plain.size());
+
+      for (Held& h : held) {
+        ASSERT_EQ(h.snapshot->epoch(), h.epoch);
+        ASSERT_EQ(StateBytes(*h.snapshot), h.bytes);
+        --h.commits_left;
+      }
+      held.erase(std::remove_if(held.begin(), held.end(),
+                                [](const Held& h) {
+                                  return h.commits_left == 0;
+                                }),
+                 held.end());
+
+      // Held across 0 commits means acquired and dropped right away.
+      constexpr int kHoldFor[] = {0, 1, 3};
+      const int hold = kHoldFor[rng.UniformInt(3)];
+      Held h{links.Acquire(), StateBytes(plain), plain.epoch(), hold};
+      if (hold > 0) held.push_back(std::move(h));
+    }
+  }
+
+  // Both paths ran: some commits copied, most recycled.
+  const uint64_t copies = SnapshotCopies() - copies_before;
+  EXPECT_GT(copies, 0u);
+  EXPECT_LT(copies, commits);
+}
+
 // Readers acquire snapshots and scan them while a committer publishes new
 // epochs underneath. Links are committed in index order, so every snapshot
 // must satisfy the prefix invariant: if link i is present, every link j < i
-// is present too. Run under TSan via the "sanitize" label.
+// is present too. The commit loop waits until every reader has read one
+// snapshot: commits are O(staged ops), and without the gate all of them can
+// land before the first reader is scheduled. Run under TSan via the
+// "sanitize" label.
 TEST(VersionedLinkIndexTest, ConcurrentReadersSeeConsistentSnapshots) {
   constexpr int kCommits = 40;
   constexpr int kLinksPerCommit = 5;
@@ -197,6 +311,7 @@ TEST(VersionedLinkIndexTest, ConcurrentReadersSeeConsistentSnapshots) {
 
   VersionedLinkIndex links;
   std::atomic<bool> done{false};
+  std::atomic<int> readers_started{0};
   std::atomic<uint64_t> snapshots_read{0};
   std::atomic<bool> violation{false};
 
@@ -204,6 +319,7 @@ TEST(VersionedLinkIndexTest, ConcurrentReadersSeeConsistentSnapshots) {
   readers.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      bool started = false;
       while (!done.load(std::memory_order_acquire)) {
         std::shared_ptr<const LinkIndex> snap = links.Acquire();
         const size_t n = snap->size();
@@ -219,10 +335,17 @@ TEST(VersionedLinkIndexTest, ConcurrentReadersSeeConsistentSnapshots) {
           violation.store(true);
         }
         snapshots_read.fetch_add(1, std::memory_order_relaxed);
+        if (!started) {
+          started = true;
+          readers_started.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
 
+  while (readers_started.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
   for (int c = 0; c < kCommits; ++c) {
     for (int i = 0; i < kLinksPerCommit; ++i) {
       const int id = c * kLinksPerCommit + i;
