@@ -1,8 +1,16 @@
 // Property test: the optimized BGP evaluator (index-backed joins, greedy
 // ordering, eager filters) must agree with a naive reference evaluator on
-// randomly generated stores and queries.
+// randomly generated stores and queries. The reference comparison is over
+// row multisets; row order is pinned separately by golden digests.
+//
+// Capture recipe for kOrderGoldens: per seed, the rolling FNV-64 over every
+// trial's OrderedDigest() below. Recorded at commit ecf5f3d from the
+// string-keyed evaluator that predates the shared compiled plan; that
+// evaluator is gone, so the goldens can only be re-verified. On a mismatch
+// the log names each trial's query shape with its own digest.
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
@@ -167,6 +175,60 @@ TEST_P(SparqlReferenceTest, EngineAgreesWithNaiveReference) {
     const auto actual = EngineRows(w, q);
     ASSERT_EQ(actual, expected) << "trial " << trial;
   }
+}
+
+uint64_t Fnv64(const std::string& s, uint64_t h = 0xcbf29ce484222325ULL) {
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The engine's rows in the order it returns them.
+std::string OrderedDigest(const RandomWorld& w, const SelectQuery& q) {
+  auto result = Evaluate(q, w.ds);
+  if (!result.ok()) return "error:" + std::string(result.status().message());
+  std::string d;
+  for (const auto& row : result->rows) {
+    d += "row:";
+    for (const Term& t : row) d += t.ToNTriples() + '\x1f';
+  }
+  return d;
+}
+
+struct OrderGolden {
+  uint64_t seed;
+  uint64_t golden;
+};
+
+constexpr OrderGolden kOrderGoldens[] = {
+    {5, 0x7a5ffc65b5ea34e2ull},    {55, 0xe47db5fd4edb1652ull},
+    {555, 0x2e01041f4e38fe49ull},  {5555, 0xf0e0998b5ec94262ull},
+    {55555, 0xcb7ea7eed4779138ull},
+};
+
+TEST_P(SparqlReferenceTest, EngineRowOrderMatchesGolden) {
+  const auto golden =
+      std::find_if(std::begin(kOrderGoldens), std::end(kOrderGoldens),
+                   [](const OrderGolden& g) { return g.seed == GetParam(); });
+  ASSERT_NE(golden, std::end(kOrderGoldens));
+  Rng rng(GetParam());
+  RandomWorld w = MakeWorld(&rng);
+  uint64_t rolling = 0xcbf29ce484222325ULL;
+  std::string log;
+  for (int trial = 0; trial < 60; ++trial) {
+    SelectQuery q = MakeQuery(w, &rng);
+    const std::string digest = OrderedDigest(w, q);
+    rolling = Fnv64(digest, rolling);
+    log += "  trial " + std::to_string(trial) + " [" +
+           std::to_string(Fnv64(digest)) + "] patterns=" +
+           std::to_string(q.where.size()) +
+           " filters=" + std::to_string(q.filters.size()) + "\n";
+  }
+  EXPECT_EQ(rolling, golden->golden)
+      << "seed " << GetParam() << " rolling " << std::hex << rolling << "\n"
+      << log;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparqlReferenceTest,
