@@ -33,14 +33,14 @@ BlockKey HashBlockKey(BlockKind kind, std::string_view text);
 /// Replaces `out` with the blocking keys of one RDF term (deduplicated,
 /// sorted): the full normalized value, each word token of length >= 2, and
 /// a 5-character prefix per token of length >= 6 (tolerates tail typos).
-/// Mirrors the legacy string-keyed normalization exactly.
+/// Values (an IRI's local name) are ASCII-lowercased before hashing.
 void ComputeTermBlockingKeys(const rdf::Term& term, std::vector<BlockKey>* out);
 
 /// Memoized blocking keys per dictionary TermId for one dataset.
 ///
 /// Attribute values repeat heavily across entities (names, categories,
-/// years), so the legacy build re-ran ToLowerAscii/WordTokens per attribute
-/// *occurrence*; this cache runs them once per *distinct term*. Built
+/// years), so rather than run ToLowerAscii/WordTokens per attribute
+/// *occurrence*, this cache runs them once per *distinct term*. Built
 /// eagerly over every term that occurs as an attribute object; read-only
 /// and safely shareable across threads afterwards. The dataset is borrowed
 /// and must not mutate while the cache is alive.

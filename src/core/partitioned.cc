@@ -136,15 +136,10 @@ void PartitionedAlex::ProcessFeedback(const feedback::FeedbackItem& item) {
 
 void PartitionedAlex::ProcessFeedbackBatch(
     const std::vector<feedback::FeedbackItem>& items) {
-  std::vector<std::vector<feedback::FeedbackItem>> routed(engines_.size());
-  for (const feedback::FeedbackItem& item : items) {
-    routed[PartitionOf(item.left)].push_back(item);
-  }
-  ParallelFor(pool(), engines_.size(), [this, &routed](size_t p) {
-    for (const feedback::FeedbackItem& item : routed[p]) {
-      engines_[p]->ProcessFeedback(item);
-    }
-  });
+  // Inline, not on the pool: a service batch is tens of items, and its
+  // committing client would otherwise wait on workers that concurrent
+  // clients keep busy.
+  for (const feedback::FeedbackItem& item : items) ProcessFeedback(item);
 }
 
 EngineEpisodeStats PartitionedAlex::EndEpisode() {

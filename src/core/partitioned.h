@@ -42,11 +42,10 @@ class PartitionedAlex {
   /// Routes one feedback item to its partition's engine.
   void ProcessFeedback(const feedback::FeedbackItem& item);
 
-  /// Routes a batch of feedback items and processes the partitions in
-  /// parallel on the worker pool (Section 6.2: partitions are independent,
-  /// so "feedback can be directed to all partitions"). Item order within a
-  /// partition is preserved, so the result equals processing the batch
-  /// sequentially.
+  /// Routes a batch of feedback items to their partitions, in order, on the
+  /// calling thread. Partitions are independent (Section 6.2: "feedback can
+  /// be directed to all partitions"), so this equals processing each
+  /// partition's items on its own.
   void ProcessFeedbackBatch(const std::vector<feedback::FeedbackItem>& items);
 
   /// Ends the episode on every partition, one after another on the calling

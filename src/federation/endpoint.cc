@@ -20,24 +20,9 @@ bool Endpoint::CanAnswer(const sparql::TriplePatternAst& pattern) const {
 
 Status Endpoint::Probe(const PatternProbe& probe, const CallOptions& /*opts*/,
                        const ProbeRowFn& fn) const {
-  const rdf::Term* const comps[3] = {probe.subject, probe.predicate,
+  const rdf::Term* const terms[3] = {probe.subject, probe.predicate,
                                      probe.object};
-  rdf::TriplePattern pattern;
-  rdf::TermId* slots[3] = {&pattern.subject, &pattern.predicate,
-                           &pattern.object};
-  for (int i = 0; i < 3; ++i) {
-    if (comps[i] == nullptr) continue;
-    auto id = dataset_->dict().Lookup(*comps[i]);
-    if (!id.has_value()) return Status::OK();  // Unknown term: no matches.
-    *slots[i] = *id;
-  }
-  const rdf::Dictionary& dict = dataset_->dict();
-  dataset_->source().ForEachMatch(pattern, [&](const rdf::Triple& t) {
-    const rdf::Term* s = probe.subject ? nullptr : &dict.term(t.subject);
-    const rdf::Term* p = probe.predicate ? nullptr : &dict.term(t.predicate);
-    const rdf::Term* o = probe.object ? nullptr : &dict.term(t.object);
-    return fn(s, p, o);
-  });
+  sparql::MatchTriples(dataset_->dict(), dataset_->source(), terms, fn);
   return Status::OK();
 }
 

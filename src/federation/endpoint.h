@@ -1,7 +1,6 @@
 #ifndef ALEX_FEDERATION_ENDPOINT_H_
 #define ALEX_FEDERATION_ENDPOINT_H_
 
-#include <functional>
 #include <string>
 #include <unordered_set>
 
@@ -10,6 +9,7 @@
 #include "rdf/dataset.h"
 #include "sparql/ast.h"
 #include "sparql/evaluator.h"
+#include "sparql/plan.h"
 
 namespace alex::fed {
 
@@ -35,9 +35,9 @@ struct CallOptions {
 /// Receives one match of a probe. Slots that were bound in the probe are
 /// null (the caller already holds those terms); unbound slots point at the
 /// endpoint's term for that component, valid only during the call. Return
-/// false to stop enumeration early.
-using ProbeRowFn = std::function<bool(
-    const rdf::Term* s, const rdf::Term* p, const rdf::Term* o)>;
+/// false to stop enumeration early. The same callback the plan matcher
+/// hands its pattern sources.
+using ProbeRowFn = sparql::MatchFn;
 
 /// A federation member as the engine sees it: source-selection metadata
 /// plus a fallible, budgeted triple-pattern probe. The in-process Endpoint

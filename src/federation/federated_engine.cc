@@ -3,45 +3,50 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/query_stats.h"
 #include "obs/trace.h"
-#include "rdf/dictionary.h"
-#include "sparql/evaluator.h"
 
 namespace alex::fed {
 namespace {
 
 using rdf::Term;
-using sparql::CompareTerms;
 using sparql::SelectQuery;
-using sparql::TriplePatternAst;
 
-/// The federated join loop over a CompiledQuery. Patterns run in the plan's
-/// greedy boundness order, each against every endpoint that can answer it
-/// (left first), as bound nested joins over dense `const Term*` slot frames.
-/// A bound subject or object IRI is probed as itself and then as each of
-/// its sameAs co-referents, in link insertion order, through the LinkIndex
-/// id view; crossed links are kept as id pairs and materialized to strings
-/// only at emit. Filters run when their slot binds, and DISTINCT is keyed
-/// on interned id tuples. The probe sequence is a pure function of the
-/// plan, the data and the links, so fault-injection draws are reproducible
-/// for a fixed seed.
-class CompiledExecution {
+/// The federation as the plan matcher's pattern source. Each pattern runs
+/// against every endpoint that can answer it (left first). A bound subject
+/// or object IRI is probed as itself and then as each of its sameAs
+/// co-referents, in link insertion order, through the LinkIndex id view;
+/// crossed links are kept as id pairs on a stack and materialized to
+/// strings only per emitted row. The probe sequence is a pure function of
+/// the plan, the data and the links, so fault-injection draws are
+/// reproducible for a fixed seed. A failed probe is recorded and skipped;
+/// past the query deadline enumeration stops.
+class FederatedSource final : public sparql::PatternSource {
  public:
-  CompiledExecution(const QueryEndpoint* left, const QueryEndpoint* right,
-                    const LinkIndex* links, const CompiledQuery& plan,
-                    const Clock* clock, double deadline_seconds)
+  FederatedSource(const QueryEndpoint* left, const QueryEndpoint* right,
+                  const LinkIndex* links, const CompiledQuery& plan,
+                  const Clock* clock, double deadline_seconds)
       : left_(left), right_(right), links_(links), plan_(plan),
-        clock_(clock) {
+        clock_(clock), scratch_(plan.patterns().size()) {
     if (clock_ != nullptr && deadline_seconds < kNoTimeout) {
       opts_.deadline_seconds = clock_->NowSeconds() + deadline_seconds;
     }
   }
 
+  bool Match(const CompiledQuery::Pattern& pattern, const Term* const terms[3],
+             const sparql::MatchFn& fn) override;
+
+  void OnRow() override {
+    std::vector<SameAsLink>& used = row_links_.emplace_back();
+    used.reserve(links_stack_.size());
+    for (const auto& [lid, rid] : links_stack_) {
+      used.push_back(SameAsLink{links_->IriOf(lid), links_->IriOf(rid)});
+    }
+  }
+
+  /// Enumerates the plan and pairs each row with its link provenance.
   Result<FederatedResult> Run();
 
  private:
@@ -56,13 +61,8 @@ class CompiledExecution {
   void ExpandForEndpoint(const Term& term, const QueryEndpoint* target,
                          std::vector<Subst>* out) const;
 
-  bool SlotFiltersPass(int32_t slot) const;
-
-  bool MatchFrom(size_t pi);
-
-  bool MatchAtEndpoint(size_t pi, const QueryEndpoint* target);
-
-  bool EmitSolution();
+  bool MatchAtEndpoint(size_t pi, const Term* const terms[3],
+                       const QueryEndpoint* target, const sparql::MatchFn& fn);
 
   void RecordProbeFailure(const QueryEndpoint* target, const Status& status);
 
@@ -78,24 +78,20 @@ class CompiledExecution {
   const Clock* clock_;
   CallOptions opts_;
 
-  /// Current binding of each variable slot (nullptr = unbound). Pointees
-  /// are owned by the plan's constant pool, the LinkIndex term arena, or
-  /// the probe callback (valid for the duration of the recursive call).
-  std::vector<const Term*> slots_;
   /// sameAs links crossed on the current enumeration path, as id pairs.
   std::vector<std::pair<LinkIndex::IriId, LinkIndex::IriId>> links_stack_;
   /// Per-pattern substitution scratch, reused across the enumeration so the
   /// inner loops do not allocate.
   std::vector<std::array<std::vector<Subst>, 3>> scratch_;
-  FederatedResult result_;
-  rdf::Dictionary row_dict_;  // Interns emitted terms for DISTINCT keys.
-  std::unordered_set<std::string> distinct_seen_;
+  /// Links used by each emitted row, in emission order.
+  std::vector<std::vector<SameAsLink>> row_links_;
+  std::vector<EndpointError> errors_;
   bool stop_ = false;
 };
 
-void CompiledExecution::ExpandForEndpoint(const Term& term,
-                                          const QueryEndpoint* target,
-                                          std::vector<Subst>* out) const {
+void FederatedSource::ExpandForEndpoint(const Term& term,
+                                        const QueryEndpoint* target,
+                                        std::vector<Subst>* out) const {
   out->clear();
   out->push_back(Subst{&term});
   if (!term.is_iri()) return;
@@ -112,50 +108,10 @@ void CompiledExecution::ExpandForEndpoint(const Term& term,
   }
 }
 
-bool CompiledExecution::SlotFiltersPass(int32_t slot) const {
-  const Term& value = *slots_[slot];
-  for (const sparql::FilterAst& f :
-       plan_.filters_for_slot(static_cast<size_t>(slot))) {
-    if (!CompareTerms(value, f.op, f.value)) return false;
-  }
-  return true;
-}
-
-bool CompiledExecution::EmitSolution() {
-  const std::vector<int32_t>& proj = plan_.projection_slots();
-  if (plan_.distinct()) {
-    std::string key;
-    key.reserve(proj.size() * sizeof(rdf::TermId));
-    for (int32_t slot : proj) {
-      const Term* t = slot >= 0 ? slots_[slot] : nullptr;
-      const rdf::TermId id =
-          t != nullptr ? row_dict_.Intern(*t) : row_dict_.InternLiteral("");
-      char bytes[sizeof(rdf::TermId)];
-      std::memcpy(bytes, &id, sizeof(bytes));
-      key.append(bytes, sizeof(bytes));
-    }
-    if (!distinct_seen_.insert(std::move(key)).second) return true;
-  }
-  ProvenancedRow row;
-  row.links_used.reserve(links_stack_.size());
-  for (const auto& [lid, rid] : links_stack_) {
-    row.links_used.push_back(SameAsLink{links_->IriOf(lid), links_->IriOf(rid)});
-  }
-  row.values.reserve(proj.size());
-  for (int32_t slot : proj) {
-    const Term* t = slot >= 0 ? slots_[slot] : nullptr;
-    row.values.push_back(t != nullptr ? *t : Term::Literal(""));
-  }
-  result_.rows.push_back(std::move(row));
-  return !(plan_.limit().has_value() && !plan_.has_order_by() &&
-           result_.rows.size() >= *plan_.limit());
-}
-
-void CompiledExecution::RecordProbeFailure(const QueryEndpoint* target,
-                                           const Status& status) {
-  result_.degraded = true;
+void FederatedSource::RecordProbeFailure(const QueryEndpoint* target,
+                                         const Status& status) {
   const std::string& name = target->name();
-  for (EndpointError& err : result_.errors) {
+  for (EndpointError& err : errors_) {
     if (err.endpoint == name) {
       ++err.failed_probes;
       if (DeadlineExpired()) stop_ = true;
@@ -167,54 +123,43 @@ void CompiledExecution::RecordProbeFailure(const QueryEndpoint* target,
   err.code = status.code();
   err.message = status.message();
   err.failed_probes = 1;
-  result_.errors.push_back(std::move(err));
+  errors_.push_back(std::move(err));
   if (DeadlineExpired()) stop_ = true;
 }
 
-bool CompiledExecution::MatchAtEndpoint(size_t pi,
-                                        const QueryEndpoint* target) {
-  const CompiledQuery::Pattern& cp = plan_.patterns()[pi];
+bool FederatedSource::MatchAtEndpoint(size_t pi, const Term* const terms[3],
+                                      const QueryEndpoint* target,
+                                      const sparql::MatchFn& fn) {
+  // Per bound component: the term and its sameAs substitutions. Predicates
+  // are never sameAs-expanded.
   std::array<std::vector<Subst>, 3>& subs = scratch_[pi];
-
-  // Per component: either a substitution list (constant / bound slot) or
-  // the slot to bind.
-  int32_t to_bind[3] = {-1, -1, -1};
+  size_t counts[3];
   for (int i = 0; i < 3; ++i) {
-    const CompiledQuery::Component& comp = cp.comp[i];
-    const Term* bound;
-    if (comp.is_variable()) {
-      bound = slots_[comp.slot];
-      if (bound == nullptr) {
-        to_bind[i] = comp.slot;
-        continue;
-      }
-    } else {
-      bound = &plan_.constant(comp.constant);
+    if (terms[i] == nullptr) {
+      counts[i] = 1;
+      continue;
     }
     if (i == 1) {
-      // Predicates are never sameAs-expanded.
       subs[i].clear();
-      subs[i].push_back(Subst{bound});
+      subs[i].push_back(Subst{terms[i]});
     } else {
-      ExpandForEndpoint(*bound, target, &subs[i]);
+      ExpandForEndpoint(*terms[i], target, &subs[i]);
     }
+    counts[i] = subs[i].size();
   }
 
-  const size_t ns = to_bind[0] >= 0 ? 1 : subs[0].size();
-  const size_t np = to_bind[1] >= 0 ? 1 : subs[1].size();
-  const size_t no = to_bind[2] >= 0 ? 1 : subs[2].size();
-  for (size_t a = 0; a < ns; ++a) {
-    for (size_t b = 0; b < np; ++b) {
-      for (size_t c = 0; c < no; ++c) {
+  for (size_t a = 0; a < counts[0]; ++a) {
+    for (size_t b = 0; b < counts[1]; ++b) {
+      for (size_t c = 0; c < counts[2]; ++c) {
         PatternProbe probe;
-        const Term** probe_slots[3] = {&probe.subject, &probe.predicate,
+        const Term** probe_terms[3] = {&probe.subject, &probe.predicate,
                                        &probe.object};
         const size_t idx[3] = {a, b, c};
         size_t links_added = 0;
         for (int i = 0; i < 3; ++i) {
-          if (to_bind[i] >= 0) continue;
+          if (terms[i] == nullptr) continue;
           const Subst& sub = subs[i][idx[i]];
-          *probe_slots[i] = sub.term;
+          *probe_terms[i] = sub.term;
           if (sub.link_left != LinkIndex::kInvalidIriId) {
             links_stack_.emplace_back(sub.link_left, sub.link_right);
             ++links_added;
@@ -232,26 +177,8 @@ bool CompiledExecution::MatchAtEndpoint(size_t pi,
           ++stats->probes;
         }
         const Status st = target->Probe(
-            probe, opts_,
-            [&](const Term* s, const Term* p, const Term* o) {
-              const Term* values[3] = {s, p, o};
-              int32_t bound_here[3];
-              int num_bound = 0;
-              bool consistent = true;
-              for (int i = 0; i < 3 && consistent; ++i) {
-                if (to_bind[i] < 0) continue;
-                const int32_t slot = to_bind[i];
-                if (slots_[slot] != nullptr) {
-                  // Repeated variable bound earlier in this same pattern.
-                  consistent = (*slots_[slot] == *values[i]);
-                } else {
-                  slots_[slot] = values[i];
-                  bound_here[num_bound++] = slot;
-                  consistent = SlotFiltersPass(slot);
-                }
-              }
-              if (consistent) keep_going = MatchFrom(pi + 1);
-              for (int k = 0; k < num_bound; ++k) slots_[bound_here[k]] = nullptr;
+            probe, opts_, [&](const Term* s, const Term* p, const Term* o) {
+              keep_going = fn(s, p, o);
               return keep_going;
             });
         probe_span.AddArg("ok", st.ok());
@@ -264,54 +191,44 @@ bool CompiledExecution::MatchAtEndpoint(size_t pi,
   return true;
 }
 
-bool CompiledExecution::MatchFrom(size_t pi) {
-  if (pi == plan_.patterns().size()) return EmitSolution();
+bool FederatedSource::Match(const CompiledQuery::Pattern& pattern,
+                            const Term* const terms[3],
+                            const sparql::MatchFn& fn) {
   if (stop_) return false;
-  const TriplePatternAst& tp =
-      plan_.query().where[plan_.patterns()[pi].where_index];
+  // Federated plans have only WHERE patterns, so this is the step index.
+  const size_t pi = static_cast<size_t>(&pattern - plan_.patterns().data());
+  const sparql::TriplePatternAst& tp = plan_.query().where[pattern.ast_index];
   for (const QueryEndpoint* target : {left_, right_}) {
     if (!target->CanAnswer(tp)) continue;
-    if (!MatchAtEndpoint(pi, target)) return false;
+    if (!MatchAtEndpoint(pi, terms, target, fn)) return false;
   }
   return true;
 }
 
-Result<FederatedResult> CompiledExecution::Run() {
-  result_.variables = plan_.variables();
-  slots_.assign(plan_.num_slots(), nullptr);
-  scratch_.resize(plan_.patterns().size());
-
-  MatchFrom(0);
+Result<FederatedResult> FederatedSource::Run() {
+  std::vector<std::vector<Term>> rows = sparql::Enumerate(plan_, this);
+  FederatedResult result;
+  result.variables = plan_.variables();
+  result.rows.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    result.rows.push_back(
+        ProvenancedRow{std::move(rows[i]), std::move(row_links_[i])});
+  }
+  result.errors = std::move(errors_);
   if (stop_) {
-    result_.degraded = true;
     EndpointError err;
     err.endpoint = "query";
     err.code = StatusCode::kDeadlineExceeded;
     err.message = "query deadline expired during enumeration";
-    result_.errors.push_back(std::move(err));
+    result.errors.push_back(std::move(err));
   }
-
-  if (plan_.has_order_by()) {
-    if (!plan_.order_by_valid()) {
-      return Status::InvalidArgument("ORDER BY variable ?" +
-                                     plan_.query().order_by->var.name +
-                                     " not in the result");
-    }
-    const size_t col = plan_.order_col();
-    const bool desc = plan_.order_descending();
-    std::stable_sort(
-        result_.rows.begin(), result_.rows.end(),
-        [col, desc](const ProvenancedRow& a, const ProvenancedRow& b) {
-          return desc ? CompareTerms(a.values[col], sparql::CompareOp::kGt,
-                                     b.values[col])
-                      : CompareTerms(a.values[col], sparql::CompareOp::kLt,
-                                     b.values[col]);
-        });
-    if (plan_.limit().has_value() && result_.rows.size() > *plan_.limit()) {
-      result_.rows.resize(*plan_.limit());
-    }
-  }
-  return std::move(result_);
+  result.degraded = !result.errors.empty();
+  ALEX_RETURN_NOT_OK(sparql::SortAndLimit(
+      plan_, &result.rows,
+      [](const ProvenancedRow& row) -> const std::vector<Term>& {
+        return row.values;
+      }));
+  return result;
 }
 
 }  // namespace
@@ -417,18 +334,19 @@ Result<FederatedResult> FederatedEngine::Execute(
   // Compile inside the instrumented scope so invalid queries count against
   // fed.queries.
   return Instrumented([&]() -> Result<FederatedResult> {
-    ALEX_ASSIGN_OR_RETURN(CompiledQuery plan, CompiledQuery::Compile(query));
-    return CompiledExecution(left_, right_, links_, plan, clock_,
-                             deadline_seconds_)
+    ALEX_ASSIGN_OR_RETURN(CompiledQuery plan, CompileFederated(query));
+    return FederatedSource(left_, right_, links_, plan, clock_,
+                           deadline_seconds_)
         .Run();
   });
 }
 
 Result<FederatedResult> FederatedEngine::Execute(
     const CompiledQuery& plan) const {
-  return Instrumented([&] {
-    return CompiledExecution(left_, right_, links_, plan, clock_,
-                             deadline_seconds_)
+  return Instrumented([&]() -> Result<FederatedResult> {
+    ALEX_RETURN_NOT_OK(CheckFederatedSubset(plan.query()));
+    return FederatedSource(left_, right_, links_, plan, clock_,
+                           deadline_seconds_)
         .Run();
   });
 }

@@ -7,7 +7,7 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "common/retry.h"
-#include "federation/compiled_query.h"
+#include "federation/plan_cache.h"
 #include "federation/endpoint.h"
 #include "federation/link_index.h"
 #include "sparql/ast.h"
@@ -48,15 +48,14 @@ struct FederatedResult {
 
 /// Minimal federated query processor in the FedX mold (paper Section 3.2).
 ///
-/// Execution: every query runs as a CompiledQuery plan (dense variable
-/// slots, per-slot filters, DISTINCT keyed on id tuples); ExecuteText
-/// memoizes plans per query text. Triple patterns are ordered greedily by
-/// boundness, then evaluated with bound (nested) joins. Each pattern is
-/// routed to every endpoint that can answer it (predicate-based source
-/// selection). When a bound join variable holds an entity IRI, its
-/// owl:sameAs co-referents are substituted too, so answers can span
+/// Execution: every query runs as a CompiledQuery plan through the same
+/// slot-frame join loop as sparql::Evaluate (sparql/plan.h); ExecuteText
+/// memoizes plans per query text. Only the pattern source differs: each
+/// pattern is routed to every endpoint that can answer it (predicate-based
+/// source selection), and when a bound join variable holds an entity IRI,
+/// its owl:sameAs co-referents are substituted too, so answers can span
 /// datasets; every link crossed this way is recorded in the row's
-/// provenance.
+/// provenance. OPTIONAL, UNION and COUNT are rejected (CheckFederatedSubset).
 ///
 /// Fault tolerance: endpoints are reached only through QueryEndpoint::Probe,
 /// so faults, retries, and circuit breaking live in the endpoint stack (see

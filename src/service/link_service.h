@@ -17,7 +17,7 @@
 #include "core/metrics.h"
 #include "core/partitioned.h"
 #include "datagen/generator.h"
-#include "federation/compiled_query.h"
+#include "federation/plan_cache.h"
 #include "federation/endpoint.h"
 #include "federation/probe_cache.h"
 #include "federation/versioned_link_index.h"

@@ -95,8 +95,8 @@ struct RunResult {
   size_t initial_links = 0;
   double build_seconds_max = 0.0;  // Slowest partition's space build.
   double build_seconds_avg = 0.0;
-  /// One-time shared blocking-index/cache construction (amortized across
-  /// all partitions; 0 when the legacy per-partition build is selected).
+  /// One-time shared blocking-index/cache construction, amortized across
+  /// all partitions.
   double shared_index_seconds = 0.0;
   double total_seconds = 0.0;      // Whole run, including build and PARIS.
   core::LinkSpace::BuildStats space_stats;  // Aggregated across partitions.

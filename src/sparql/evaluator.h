@@ -24,11 +24,9 @@ struct QueryResult {
 /// Evaluates a parsed SELECT query against one triple source (either
 /// storage backend: uncompressed TripleStore or CompressedTripleStore).
 ///
-/// Join strategy: triple patterns are ordered greedily by how many of their
-/// components are bound (constants or previously bound variables), then each
-/// pattern is matched through the store's indexes and extends the partial
-/// bindings (index nested-loop join). FILTERs are applied as soon as their
-/// variable binds. DISTINCT and LIMIT are applied on output.
+/// The query is compiled to a CompiledQuery (sparql/plan.h) and run by the
+/// same slot-frame nested-loop matcher the federated engine uses, with the
+/// store's indexes as its only pattern source.
 Result<QueryResult> Evaluate(const SelectQuery& query,
                              const rdf::Dictionary& dict,
                              const rdf::TripleSource& store);
@@ -50,7 +48,9 @@ Result<bool> AskQuery(std::string_view query_text,
                       const rdf::Dataset& dataset);
 
 /// Compares two terms under a FILTER operator. Numeric/date comparisons are
-/// value-based; everything else is lexicographic over lexical forms.
+/// value-based; everything else is lexicographic over lexical forms. ORDER
+/// BY sorts with OrderBefore (sparql/plan.h) instead, which is a total order
+/// across mixed kinds.
 bool CompareTerms(const rdf::Term& lhs, CompareOp op, const rdf::Term& rhs);
 
 }  // namespace alex::sparql

@@ -152,11 +152,15 @@ TEST_P(CandidateOrderTest, StoreStaysCanonicalThroughFeedbackAndRestore) {
 }
 
 TEST_P(CandidateOrderTest, LearningLoopIssuesNoPoolTasks) {
-  std::unique_ptr<PartitionedAlex> alex = MakeBuilt();
-  alex->InitializeCandidates(InitialLinks());
-  feedback::Oracle oracle(&pair_.truth, 0.2, GetParam());
   obs::Counter& tasks =
       obs::MetricsRegistry::Global().counter("threadpool.tasks");
+  // Positive control: the partitioned build does fan out, so the counter is
+  // live for this pool.
+  const uint64_t build_before = tasks.Value();
+  std::unique_ptr<PartitionedAlex> alex = MakeBuilt();
+  EXPECT_GT(tasks.Value() - build_before, 0u);
+  alex->InitializeCandidates(InitialLinks());
+  feedback::Oracle oracle(&pair_.truth, 0.2, GetParam());
 
   for (int episode = 0; episode < 3; ++episode) {
     const uint64_t before = tasks.Value();
@@ -171,11 +175,10 @@ TEST_P(CandidateOrderTest, LearningLoopIssuesNoPoolTasks) {
     EXPECT_EQ(tasks.Value() - before, 0u) << "episode " << episode;
     ASSERT_FALSE(judged.empty());
 
-    // Positive control: the batch path does fan out, so the counter is
-    // live for this pool.
+    // The service's batch path runs inline too.
     const uint64_t batch_before = tasks.Value();
     alex->ProcessFeedbackBatch(judged);
-    EXPECT_GT(tasks.Value() - batch_before, 0u);
+    EXPECT_EQ(tasks.Value() - batch_before, 0u) << "episode " << episode;
   }
 }
 

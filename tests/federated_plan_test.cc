@@ -21,12 +21,14 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "federation/compiled_query.h"
+#include "federation/plan_cache.h"
 #include "federation/endpoint.h"
 #include "federation/federated_engine.h"
 #include "obs/metrics.h"
 #include "rdf/dataset.h"
+#include "sparql/evaluator.h"
 #include "sparql/parser.h"
+#include "sparql/plan.h"
 
 namespace alex::fed {
 namespace {
@@ -111,14 +113,15 @@ class FederatedPlanTest : public ::testing::Test {
 };
 
 TEST_F(FederatedPlanTest, CompileRejectsUnsupportedQueries) {
-  auto unsupported = CompiledQuery::CompileText(
+  PlanCache cache;
+  auto unsupported = cache.GetOrCompile(
       "SELECT ?x WHERE { ?x <http://l/p> ?y . "
       "OPTIONAL { ?x <http://l/q> ?z . } }");
   ASSERT_FALSE(unsupported.ok());
   EXPECT_EQ(unsupported.status().message(),
             "OPTIONAL/UNION are not supported in federated queries");
 
-  auto unknown = CompiledQuery::CompileText(
+  auto unknown = cache.GetOrCompile(
       "SELECT ?missing WHERE { ?x <http://l/p> ?y . }");
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().message(),
@@ -364,6 +367,68 @@ TEST_F(FederatedPlanTest, OnePlanRunsAgainstManyEngines) {
   // The plan result matches parsing-and-executing on each engine.
   EXPECT_EQ(Digest(r1), Digest(engine_->ExecuteText(kSpanning())));
   EXPECT_EQ(Digest(r2), Digest(other.ExecuteText(kSpanning())));
+}
+
+TEST_F(FederatedPlanTest, LimitZeroReturnsNoRows) {
+  // Enumeration stops at the first row once LIMIT rows exist; the final
+  // cut must still apply when there is no ORDER BY.
+  auto r = engine_->ExecuteText(
+      "SELECT ?p ?o WHERE { <http://l/acme> ?p ?o . } LIMIT 0");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->NumRows(), 0u);
+}
+
+TEST(FederatedOrderByTest, MixedColumnSortsTheSameUnderBothExecutors) {
+  // "10", "9" and "5x" form a cycle under FILTER's comparison (9 < 10
+  // numerically, "10" < "5x" and "5x" < "9" lexically), so ORDER BY uses a
+  // total order instead: numbers (NaN last), then dates, then strings.
+  const std::string kDouble = "http://www.w3.org/2001/XMLSchema#double";
+  const std::vector<Term> ascending = {
+      Term::Literal("9"),
+      Term::Literal("10"),
+      Term::TypedLiteral("NaN", kDouble),
+      Term::Literal("2000-01-02"),
+      Term::Literal("5x"),
+      Term::Iri("http://l/apple"),
+      Term::Literal("banana"),
+  };
+  rdf::Dataset left("mixed");
+  rdf::Dataset right("empty");
+  right.AddLiteralTriple("http://r/x", "http://r/p", Term::Literal("x"));
+  for (size_t i : {4, 0, 6, 2, 5, 1, 3}) {
+    if (ascending[i].is_iri()) {
+      left.AddIriTriple("http://l/s" + std::to_string(i), "http://l/v",
+                        ascending[i].value);
+    } else {
+      left.AddLiteralTriple("http://l/s" + std::to_string(i), "http://l/v",
+                            ascending[i]);
+    }
+  }
+  Endpoint left_ep(&left);
+  Endpoint right_ep(&right);
+  LinkIndex links;
+  FederatedEngine engine(&left_ep, &right_ep, &links);
+  for (const bool desc : {false, true}) {
+    const std::string query =
+        std::string("SELECT ?v WHERE { ?s <http://l/v> ?v . } ORDER BY ") +
+        (desc ? "DESC ?v" : "?v");
+    std::vector<Term> expected = ascending;
+    if (desc) std::reverse(expected.begin(), expected.end());
+
+    auto local = sparql::EvaluateQuery(query, left);
+    ASSERT_TRUE(local.ok()) << local.status();
+    std::vector<Term> local_column;
+    for (const auto& row : local->rows) local_column.push_back(row[0]);
+    EXPECT_EQ(local_column, expected) << query;
+
+    auto federated = engine.ExecuteText(query);
+    ASSERT_TRUE(federated.ok()) << federated.status();
+    std::vector<Term> federated_column;
+    for (const auto& row : federated->rows) {
+      federated_column.push_back(row.values[0]);
+    }
+    EXPECT_EQ(federated_column, expected) << query;
+  }
 }
 
 }  // namespace
